@@ -10,11 +10,9 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 from . import compress as compress_mod
 from . import engine, fimi
-from .wtree import WeepingTree
 
 MODES = ("baseline", "parasol", "exact")
 BACKENDS = ("flat", "wtree")
@@ -30,100 +28,64 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    input_path: str
-    mode: str = "baseline"
-    k: float = math.inf  # math.inf = unbounded
-    epsilon: float | None = None
-    sigma: float = 0.0
-    backend: str = "flat"
-    compress: str = "off"
-    metrics_path: str | None = None
-    out_path: str | None = None
-    stride: int = 1
-    summary_json: bool = False
-
-    def validate(self) -> None:
-        if self.mode not in MODES:
-            raise UsageError(f"unknown mode {self.mode!r}")
-        if self.backend not in BACKENDS:
-            raise UsageError(f"unknown backend {self.backend!r}")
-        if self.compress not in COMPRESS:
-            raise UsageError(f"unknown compress setting {self.compress!r}")
-        if self.mode == "parasol" and self.epsilon is None:
-            raise UsageError("parasol mode requires --epsilon")
-        if self.epsilon is not None and not 0.0 <= self.epsilon < 1.0:
-            raise UsageError("epsilon must lie in [0, 1)")
-        if not 0.0 <= self.sigma <= 1.0:
-            raise UsageError("sigma must lie in [0, 1]")
-        if self.k != math.inf and (self.k < 1 or int(self.k) != self.k):
-            raise UsageError("k must be a positive integer or 'unbounded'")
-        if self.stride < 1:
-            raise UsageError("stride must be positive")
-        if self.compress == "two-step" and self.backend != "wtree":
-            raise UsageError("two-step compression needs --backend wtree")
-
-    def effective(self) -> tuple[float, float | None]:
-        """(k, epsilon) as handed to the engine after mode adjustments."""
-        if self.mode == "exact":
-            return math.inf, None  # nothing is ever evicted
-        if self.mode == "baseline":
-            return self.k, None  # epsilon ignored
-        return self.k, self.epsilon
+def _check(args: argparse.Namespace) -> None:
+    """Reject option combinations that argparse alone cannot rule out."""
+    if args.mode == "parasol" and args.epsilon is None:
+        raise UsageError("parasol mode requires --epsilon")
+    if args.epsilon is not None and not 0.0 <= args.epsilon < 1.0:
+        raise UsageError("epsilon must lie in [0, 1)")
+    if not 0.0 <= args.sigma <= 1.0:
+        raise UsageError("sigma must lie in [0, 1]")
+    if args.stride < 1:
+        raise UsageError("stride must be positive")
+    if args.compress == "two-step" and args.backend != "wtree":
+        raise UsageError("two-step compression needs --backend wtree")
 
 
-def run(config: RunConfig) -> int:
-    """Replay the configured stream; returns a process exit code."""
-    try:
-        config.validate()
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    k, epsilon = config.effective()
-    state = engine.StreamState(k=k, epsilon=epsilon, backend=config.backend)
+def run(args: argparse.Namespace) -> int:
+    """Replay the stream the checked arguments name; returns a process exit code."""
+    k = math.inf if args.mode == "exact" else args.k  # exact: nothing is ever evicted
+    epsilon = args.epsilon if args.mode == "parasol" else None
+    state = engine.StreamState(k=k, epsilon=epsilon, backend=args.backend)
     stats = fimi.ParseStats()
 
     started = time.perf_counter()
     try:
-        with open(config.input_path, "r", encoding="utf-8") as fh:
+        # an undecodable byte becomes a token that fails to parse on its own line
+        with open(args.input, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for t in fimi.parse_fimi(fh, stats):
                 engine.process_transaction(state, t)
     except fimi.ParseError as exc:
-        print(f"error: {config.input_path}: {exc}", file=sys.stderr)
+        print(f"error: {args.input}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
-    if config.compress == "two-step":
-        assert isinstance(state.table, WeepingTree)
+    if args.compress == "two-step":
         final_entries = compress_mod.compress_two_step(state.table, state.delta)
-    elif config.compress == "flat":
+    elif args.compress == "flat":
         final_entries = compress_mod.delta_compress(state.snapshot(), state.delta)
     else:
         final_entries = state.snapshot()
-
-    threshold = config.sigma * state.i
-    result_entries = [e for e in final_entries if e.count > threshold]
-    weak = state.delta > threshold
+    result = engine.answer(final_entries, args.sigma, state.i, state.delta)
 
     try:
-        if config.out_path:
-            with open(config.out_path, "w", encoding="utf-8") as fh:
-                fimi.write_result(result_entries, fh)
-        if config.metrics_path:
-            with open(config.metrics_path, "w", encoding="utf-8") as fh:
-                fimi.write_metrics(state.metrics, fh, stride=config.stride)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fimi.write_result(result.entries, fh)
+        if args.metrics:
+            with open(args.metrics, "w", encoding="utf-8") as fh:
+                samples = ((s.i, s.post_size, s.delta) for s in state.steps)
+                fimi.write_metrics(samples, fh, stride=args.stride)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
     n = state.i
     ratio = state.delta / n if n else 0.0
-    if config.summary_json:
+    if args.summary_json:
         print(
             json.dumps(
                 {
@@ -132,12 +94,12 @@ def run(config: RunConfig) -> int:
                     "delta": state.delta,
                     "ratio": ratio,
                     "time_ms": round(elapsed_ms, 3),
-                    "weak_guarantee": weak,
-                    "result_rows": len(result_entries),
+                    "weak_guarantee": result.weak_guarantee,
+                    "result_rows": len(result.entries),
                     "skipped_lines": stats.skipped,
-                    "mode": config.mode,
-                    "backend": config.backend,
-                    "compress": config.compress,
+                    "mode": args.mode,
+                    "backend": args.backend,
+                    "compress": args.compress,
                 }
             )
         )
@@ -155,19 +117,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_k(text: str) -> float:
-    if text == "unbounded":
-        return math.inf
     try:
-        return int(text)
+        k = math.inf if text == "unbounded" else int(text)
+        if k >= 1:
+            return k
     except ValueError:
-        raise UsageError(f"invalid k: {text!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"k must be a positive integer or 'unbounded', not {text!r}")
 
 
 def build_parser() -> _Parser:
     p = _Parser(prog="parasol", description=__doc__)
     p.add_argument("--input", required=True, help="transaction file, one per line")
     p.add_argument("--mode", required=True, choices=MODES)
-    p.add_argument("--k", default="unbounded", help="entry budget (int or 'unbounded')")
+    p.add_argument("--k", type=_parse_k, default="unbounded", help="entry budget (int or 'unbounded')")
     p.add_argument("--epsilon", type=float, default=None, help="error parameter")
     p.add_argument("--sigma", type=float, default=0.0, help="query support threshold")
     p.add_argument("--backend", default="flat", choices=BACKENDS)
@@ -182,23 +145,11 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        config = RunConfig(
-            input_path=args.input,
-            mode=args.mode,
-            k=_parse_k(args.k),
-            epsilon=args.epsilon,
-            sigma=args.sigma,
-            backend=args.backend,
-            compress=args.compress,
-            metrics_path=args.metrics,
-            out_path=args.out,
-            stride=args.stride,
-            summary_json=args.summary_json,
-        )
+        _check(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return run(config)
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -1,25 +1,26 @@
 """The flat mining loop: incremental intersection plus min-entry eviction.
 
 Each arriving transaction is intersected with every stored itemset; the
-resulting candidates replace or extend the table, then the configured
-deletion policy trims it. Deleting a minimum entry folds its count into
-the running maximum error delta, so every surviving entry keeps the
-bracket count - err <= support <= count, and the table stays a
-delta-covered summary of the frequent itemsets.
+resulting candidates replace or extend the table, then one deletion rule
+trims it: evict the minimum entry while the table holds more than k
+entries or that entry's count is at most epsilon * i. Deleting a minimum
+entry folds its count into the running maximum error delta, so every
+surviving entry keeps the bracket count - err <= support <= count, and
+the table stays a delta-covered summary of the frequent itemsets.
 
-Two deletion policies are provided. `rc_delete` evicts only while the
-table exceeds the size budget k. `parasol_delete` additionally evicts
-while the minimum count is at most epsilon * i, which keeps delta below
-epsilon * i whenever the size budget never binds; after a burst forces
-size-driven evictions, the error ratio delta/i decays back toward
-epsilon on its own as i grows.
+Size-only eviction (RC) is the same rule with epsilon = 0: every stored
+count is at least 1, so only the size bound can fire. With epsilon > 0
+the rule keeps delta below epsilon * i whenever the size budget never
+binds; after a burst forces size-driven evictions, the error ratio
+delta/i decays back toward epsilon on its own as i grows. Both backends
+evict through the same rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 from .itemsets import Entry, Items, Transaction
 from .table import EntryTable
@@ -40,16 +41,18 @@ class StepStats:
     peak_size: int  # entries after the update, before eviction (<= 2k + 1)
     post_size: int  # entries after eviction (<= k)
     visits: int  # tree nodes touched; == intersections on the flat backend
+    delta: int  # maximum error after eviction
 
 
 @dataclass
 class StreamState:
     """Single-writer mining state advanced one transaction at a time.
 
-    k is the size budget (math.inf = unbounded); epsilon enables the
-    unified deletion policy, None means size-only eviction. Exact mining
-    is the configuration k=inf with epsilon None (or 0): nothing is ever
-    evicted and the table holds exactly the closed itemsets.
+    k is the size budget (math.inf = unbounded); epsilon is the error
+    parameter of the deletion rule, and None evicts like 0: by size
+    only. Exact mining is the configuration k=inf with epsilon None (or
+    0): nothing is ever evicted and the table holds exactly the closed
+    itemsets.
     """
 
     k: float = math.inf
@@ -58,7 +61,6 @@ class StreamState:
     i: int = 0
     delta: int = 0
     table: Union[EntryTable, WeepingTree] = None  # type: ignore[assignment]
-    metrics: list[tuple[int, int, int]] = field(default_factory=list)
     steps: list[StepStats] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -137,68 +139,61 @@ def intersect_step(table: EntryTable, t: Transaction, delta_prev: int) -> EntryT
     return table
 
 
+def eviction_rule(k: float, epsilon: float, i: int) -> Callable[[int, int], bool]:
+    """The deletion predicate over (minimum count, table size) at timestamp i."""
+    bound = epsilon * i
+    return lambda count, size: size > k or count <= bound
+
+
 def rc_delete(table: EntryTable, k: float, delta_prev: int) -> tuple[EntryTable, int]:
     """Evict minimum entries while the table exceeds k; returns the new delta."""
-    delta = delta_prev
-    while len(table) > k:
-        _, count = table.pop_min()
-        delta = max(delta, count)
-    return table, delta
+    return table, table.delete_minima(eviction_rule(k, 0.0, 0), delta_prev)
 
 
 def parasol_delete(
     table: EntryTable, k: float, epsilon: float, i: int, delta_prev: int
 ) -> tuple[EntryTable, int]:
     """Evict while the table exceeds k or the minimum count is <= epsilon * i."""
-    delta = delta_prev
-    bound = epsilon * i
-    while True:
-        head = table.peek_min()
-        if head is None:
-            break
-        _, count = head
-        if len(table) <= k and count > bound:
-            break
-        table.pop_min()
-        delta = max(delta, count)
-    return table, delta
+    return table, table.delete_minima(eviction_rule(k, epsilon, i), delta_prev)
 
 
 def process_transaction(state: StreamState, t: Transaction) -> StreamState:
-    """Advance the state by one transaction: update, evict, record metrics."""
+    """Advance the state by one transaction: update, evict, record the step."""
     if t.timestamp != state.i + 1:
         raise TimestampGap(f"expected timestamp {state.i + 1}, got {t.timestamp}")
     i = t.timestamp
     table = state.table
     pre = len(table)
+    epsilon = state.epsilon or 0.0
 
     if isinstance(table, WeepingTree):
         visits, intersections = table.update(t.items, state.delta, i)
         peak = len(table)
-        if state.epsilon is None:
-            k = state.k
-            delta = table.delete_minima(lambda c, size: size > k, state.delta)
-        else:
-            k, eps = state.k, state.epsilon
-            delta = table.delete_minima(
-                lambda c, size: size > k or c <= eps * i, state.delta
-            )
+        # not via parasol_delete: perfbench would count the evictions twice
+        delta = table.delete_minima(eviction_rule(state.k, epsilon, i), state.delta)
     else:
         fresh = t.items not in table
         intersect_step(table, t, state.delta)
         peak = len(table)
-        if state.epsilon is None:
-            _, delta = rc_delete(table, state.k, state.delta)
-        else:
-            _, delta = parasol_delete(table, state.k, state.epsilon, i, state.delta)
-        intersections = pre + 1 if fresh else pre  # every swept entry costs one
-        visits = intersections
+        _, delta = parasol_delete(table, state.k, epsilon, i, state.delta)
+        intersections = visits = pre + 1 if fresh else pre  # every swept entry costs one
 
     state.i = i
     state.delta = delta
-    state.metrics.append((i, len(table), delta))
-    state.steps.append(StepStats(i, pre, intersections, peak, len(table), visits))
+    state.steps.append(StepStats(i, pre, intersections, peak, len(table), visits, delta))
     return state
+
+
+def answer(entries: list[Entry], sigma: float, i: int, delta: int) -> QueryResult:
+    """The entries with count > sigma * i; the guarantee is weak when delta > sigma * i."""
+    threshold = sigma * i
+    return QueryResult(
+        entries=[e for e in entries if e.count > threshold],
+        weak_guarantee=delta > threshold,
+        sigma=sigma,
+        i=i,
+        delta=delta,
+    )
 
 
 def query(state: StreamState, sigma: float) -> QueryResult:
@@ -209,15 +204,7 @@ def query(state: StreamState, sigma: float) -> QueryResult:
     """
     if not 0.0 <= sigma <= 1.0:
         raise ValueError("sigma must lie in [0, 1]")
-    threshold = sigma * state.i
-    picked = [e for e in state.snapshot() if e.count > threshold]
-    return QueryResult(
-        entries=picked,
-        weak_guarantee=state.delta > threshold,
-        sigma=sigma,
-        i=state.i,
-        delta=state.delta,
-    )
+    return answer(state.snapshot(), sigma, state.i, state.delta)
 
 
 def replay(

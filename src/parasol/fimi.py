@@ -8,7 +8,7 @@ with timestamps assigned 1..n in file order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator
 
 from .itemsets import Entry, Transaction, itemset
 
@@ -83,7 +83,7 @@ def write_result(entries: Iterable[Entry], fh: IO[str]) -> int:
 
 
 def write_metrics(
-    samples: Sequence[tuple[int, int, int]], fh: IO[str], stride: int = 1
+    samples: Iterable[tuple[int, int, int]], fh: IO[str], stride: int = 1
 ) -> None:
     """Time-series CSV: header i,k_i,delta_i,error_ratio, one row per sample.
 
@@ -93,7 +93,13 @@ def write_metrics(
     if stride < 1:
         raise ValueError("stride must be positive")
     fh.write("i,k_i,delta_i,error_ratio\n")
-    last = len(samples) - 1
-    for idx, (i, k_i, delta_i) in enumerate(samples):
-        if i % stride == 0 or idx == last:
-            fh.write(f"{i},{k_i},{delta_i},{delta_i / i:g}\n")
+    sample = None
+    for sample in samples:
+        if sample[0] % stride == 0:
+            _write_sample(fh, *sample)
+    if sample is not None and sample[0] % stride:
+        _write_sample(fh, *sample)
+
+
+def _write_sample(fh: IO[str], i: int, k_i: int, delta_i: int) -> None:
+    fh.write(f"{i},{k_i},{delta_i},{delta_i / i:g}\n")

@@ -13,7 +13,7 @@ identically.
 from __future__ import annotations
 
 import heapq
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .itemsets import Entry, Items
 
@@ -80,6 +80,22 @@ class EntryTable:
         heapq.heappop(self._heap)
         del self._rec[alpha]
         return alpha, count
+
+    def delete_minima(
+        self, should_delete: Callable[[int, int], bool], delta_prev: int
+    ) -> int:
+        """Pop minimum entries while should_delete(min_count, size) holds.
+
+        Returns the new maximum error: the largest of delta_prev and the
+        evicted counts.
+        """
+        delta = delta_prev
+        head = self.peek_min()
+        while head is not None and should_delete(head[1], len(self._rec)):
+            self.pop_min()
+            delta = max(delta, head[1])
+            head = self.peek_min()
+        return delta
 
     def snapshot(self) -> list[Entry]:
         """Immutable entries in canonical (birth, own-first, itemset) order."""

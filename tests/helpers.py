@@ -18,10 +18,9 @@ quickly; they are test-side only.
 
 from __future__ import annotations
 
-import math
 import random
 
-from parasol import Entry, StreamState, Transaction, itemset, process_transaction
+from parasol import Entry, Transaction, itemset
 
 UNIVERSE5 = (1, 2, 3, 4, 5)
 
@@ -42,13 +41,6 @@ CHAIN5 = tuple(
         [(1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3), (1,)]
     )
 )
-
-
-def replay(transactions, k=math.inf, epsilon=None, backend="flat") -> StreamState:
-    state = StreamState(k=k, epsilon=epsilon, backend=backend)
-    for t in transactions:
-        process_transaction(state, t)
-    return state
 
 
 def as_dict(entries) -> dict[tuple[int, ...], tuple[int, int]]:

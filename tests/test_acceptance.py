@@ -19,12 +19,13 @@ from parasol import (
     enumerate_delta_closed,
     intersect_step,
     process_transaction,
+    replay,
     verify_delta_covered_set,
     write_fimi,
 )
 from parasol.cli import EXIT_OK, main
 
-from helpers import DROP_ONE, DROP_ONE_PLUS, MaskModel, as_dict, random_streams, replay
+from helpers import DROP_ONE, DROP_ONE_PLUS, MaskModel, as_dict, random_streams
 
 DATA = Path(__file__).parent / "data"
 

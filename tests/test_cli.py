@@ -130,6 +130,12 @@ def test_usage_errors(drop_one_file, capsys):
     assert run_cli(["--input", drop_one_file, "--mode", "nope"]) == EXIT_USAGE
     assert run_cli(["--input", drop_one_file, "--mode", "baseline", "--k", "x"]) == EXIT_USAGE
     assert run_cli(["--input", drop_one_file, "--mode", "baseline", "--k", "0"]) == EXIT_USAGE
+    assert run_cli(["--input", drop_one_file, "--mode", "exact", "--k", "0"]) == EXIT_USAGE
+    for mode in ("parasol", "baseline"):
+        args = ["--input", drop_one_file, "--mode", mode, "--epsilon", "1.0"]
+        assert run_cli(args) == EXIT_USAGE
+    for flag, value in (("--sigma", "1.5"), ("--stride", "0")):
+        assert run_cli(["--input", drop_one_file, "--mode", "exact", flag, value]) == EXIT_USAGE
     assert (
         run_cli(
             ["--input", drop_one_file, "--mode", "baseline", "--compress", "two-step"]
@@ -142,6 +148,13 @@ def test_usage_errors(drop_one_file, capsys):
 def test_parse_error_exit(tmp_path, capsys):
     bad = tmp_path / "bad.dat"
     bad.write_text("1 2\noops\n")
+    assert run_cli(["--input", str(bad), "--mode", "exact"]) == EXIT_PARSE
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_undecodable_byte_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.dat"
+    bad.write_bytes(b"1 2\n3 \xff 4\n")
     assert run_cli(["--input", str(bad), "--mode", "exact"]) == EXIT_PARSE
     assert "line 2" in capsys.readouterr().err
 

@@ -1,7 +1,7 @@
-from parasol import Entry, compress_two_step, delta_compress
+from parasol import Entry, compress_two_step, delta_compress, replay
 from parasol.oracle import enumerate_closed, verify_delta_covered_set
 
-from helpers import DROP_ONE, DROP_ONE_PLUS, as_dict, random_streams, replay
+from helpers import DROP_ONE, DROP_ONE_PLUS, as_dict, random_streams
 
 
 def test_worked_example_absorbs_singleton():

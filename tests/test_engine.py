@@ -12,11 +12,12 @@ from parasol import (
     process_transaction,
     query,
     rc_delete,
+    replay,
 )
 from parasol.oracle import enumerate_closed, verify_delta_covered_set
 from parasol.table import EntryTable
 
-from helpers import DROP_ONE, DROP_ONE_PLUS, as_dict, random_streams, replay
+from helpers import DROP_ONE, DROP_ONE_PLUS, as_dict, random_streams
 
 
 def table_of(rows):
@@ -169,7 +170,7 @@ class TestProcessTransaction:
         state = StreamState(k=8)
         process_transaction(state, Transaction((3, 4), 1))
         assert state.i == 1 and state.delta == 0
-        assert state.metrics == [(1, 1, 0)]
+        assert [(s.i, s.post_size, s.delta) for s in state.steps] == [(1, 1, 0)]
 
     def test_timestamp_gap_rejected(self):
         state = StreamState()

@@ -1,6 +1,6 @@
 import pytest
 
-from parasol import Transaction, UniverseTooLarge
+from parasol import Transaction, UniverseTooLarge, replay
 from parasol.oracle import (
     enumerate_closed,
     enumerate_delta_closed,
@@ -9,7 +9,7 @@ from parasol.oracle import (
     verify_delta_covered_set,
 )
 
-from helpers import CHAIN5, DROP_ONE, DROP_ONE_PLUS, random_streams, replay
+from helpers import CHAIN5, DROP_ONE, DROP_ONE_PLUS, random_streams
 
 
 def test_true_support_worked_values():

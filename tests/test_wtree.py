@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from parasol import Transaction, WeepingTree, covers, itemset
+from parasol import Transaction, WeepingTree, covers, itemset, replay
 from parasol.engine import StreamState, process_transaction
 
-from helpers import DROP_ONE, OVERLAP4, as_dict, random_streams, replay
+from helpers import DROP_ONE, OVERLAP4, as_dict, random_streams
 
 FULL_TREE = """\
 2 3 4 5\t1\t0\t1
