@@ -45,7 +45,7 @@ def _check(args: argparse.Namespace) -> None:
 def run(args: argparse.Namespace) -> int:
     """Replay the stream the checked arguments name; returns a process exit code."""
     k = math.inf if args.mode == "exact" else args.k  # exact: nothing is ever evicted
-    epsilon = args.epsilon if args.mode == "parasol" else None
+    epsilon = args.epsilon if args.mode == "parasol" else 0.0
     state = engine.StreamState(k=k, epsilon=epsilon, backend=args.backend)
     stats = fimi.ParseStats()
 

@@ -49,14 +49,13 @@ class StreamState:
     """Single-writer mining state advanced one transaction at a time.
 
     k is the size budget (math.inf = unbounded); epsilon is the error
-    parameter of the deletion rule, and None evicts like 0: by size
-    only. Exact mining is the configuration k=inf with epsilon None (or
-    0): nothing is ever evicted and the table holds exactly the closed
-    itemsets.
+    parameter of the deletion rule, and 0 evicts by size only. Exact
+    mining is the configuration k=inf with epsilon 0: nothing is ever
+    evicted and the table holds exactly the closed itemsets.
     """
 
     k: float = math.inf
-    epsilon: float | None = None
+    epsilon: float = 0.0
     backend: str = "flat"
     i: int = 0
     delta: int = 0
@@ -66,7 +65,7 @@ class StreamState:
     def __post_init__(self) -> None:
         if self.k != math.inf and (self.k < 1 or int(self.k) != self.k):
             raise ValueError("k must be a positive integer or math.inf")
-        if self.epsilon is not None and not 0.0 <= self.epsilon < 1.0:
+        if not 0.0 <= self.epsilon < 1.0:
             raise ValueError("epsilon must lie in [0, 1)")
         if self.table is None:
             if self.backend == "flat":
@@ -95,8 +94,8 @@ class QueryResult:
     delta: int
 
 
-def intersect_step(table: EntryTable, t: Transaction, delta_prev: int) -> EntryTable:
-    """Fold one transaction into the table; no eviction happens here.
+def intersect_step(table: EntryTable, t: Transaction, delta_prev: int) -> tuple[int, int]:
+    """Fold one transaction in; returns (visits, intersections) as the tree does.
 
     If the transaction's itemset is new it is inserted first with estimate
     (delta_prev, delta_prev) so it takes part in the intersection sweep;
@@ -106,7 +105,9 @@ def intersect_step(table: EntryTable, t: Transaction, delta_prev: int) -> EntryT
     toward the smaller err. Candidates then replace or extend the table,
     except that an entry predating this step keeps its own err when its
     count rises by exactly one. The result has at most 2 * len + 1
-    entries.
+    entries; no eviction happens here. The sweep visits and intersects
+    every entry once, so both numbers are the table's size after the
+    fresh insert.
     """
     items = t.items
     if items not in table:
@@ -115,6 +116,7 @@ def intersect_step(table: EntryTable, t: Transaction, delta_prev: int) -> EntryT
     else:
         fresh = False
 
+    swept = len(table)
     tset = set(items)
     buf: dict[Items, tuple[int, int]] = {}
     for alpha, rec in table.records():
@@ -136,7 +138,7 @@ def intersect_step(table: EntryTable, t: Transaction, delta_prev: int) -> EntryT
             table.set_count(beta, count, old.err)
         else:
             table.set_count(beta, count, err)
-    return table
+    return swept, swept
 
 
 def eviction_rule(k: float, epsilon: float, i: int) -> Callable[[int, int], bool]:
@@ -164,19 +166,16 @@ def process_transaction(state: StreamState, t: Transaction) -> StreamState:
     i = t.timestamp
     table = state.table
     pre = len(table)
-    epsilon = state.epsilon or 0.0
 
     if isinstance(table, WeepingTree):
         visits, intersections = table.update(t.items, state.delta, i)
         peak = len(table)
         # not via parasol_delete: perfbench would count the evictions twice
-        delta = table.delete_minima(eviction_rule(state.k, epsilon, i), state.delta)
+        delta = table.delete_minima(eviction_rule(state.k, state.epsilon, i), state.delta)
     else:
-        fresh = t.items not in table
-        intersect_step(table, t, state.delta)
+        visits, intersections = intersect_step(table, t, state.delta)
         peak = len(table)
-        _, delta = parasol_delete(table, state.k, epsilon, i, state.delta)
-        intersections = visits = pre + 1 if fresh else pre  # every swept entry costs one
+        _, delta = parasol_delete(table, state.k, state.epsilon, i, state.delta)
 
     state.i = i
     state.delta = delta
@@ -210,7 +209,7 @@ def query(state: StreamState, sigma: float) -> QueryResult:
 def replay(
     transactions,
     k: float = math.inf,
-    epsilon: float | None = None,
+    epsilon: float = 0.0,
     backend: str = "flat",
 ) -> StreamState:
     """Feed a whole finite stream through a fresh state; convenience wrapper."""

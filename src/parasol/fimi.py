@@ -1,8 +1,8 @@
 """Reading and writing the plain-text transaction format.
 
 One transaction per line, whitespace-separated non-negative integer
-items. Parsing is streaming: transactions are yielded as they are read,
-with timestamps assigned 1..n in file order.
+items written in ASCII digits. Parsing is streaming: transactions are
+yielded as they are read, with timestamps assigned 1..n in file order.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ def parse_fimi(
     """Yield transactions from lines of text.
 
     Items on a line are deduplicated and sorted; blank lines are skipped
-    (counted in stats.skipped); any non-integer token aborts with a
-    ParseError carrying the line number.
+    (counted in stats.skipped); any token that is not a run of ASCII
+    digits aborts with a ParseError carrying the line number.
     """
     counters = stats if stats is not None else ParseStats()
     timestamp = 0
@@ -45,13 +45,13 @@ def parse_fimi(
         if not tokens:
             counters.skipped += 1
             continue
-        try:
-            items = itemset(int(tok) for tok in tokens)
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from None
+        digits = "".join(tokens)
+        if not (digits.isascii() and digits.isdigit()):
+            bad = next(tok for tok in tokens if not (tok.isascii() and tok.isdigit()))
+            raise ParseError(lineno, f"not a non-negative integer item: {bad!r}")
         timestamp += 1
         counters.transactions = timestamp
-        yield Transaction(items, timestamp)
+        yield Transaction(itemset(map(int, tokens)), timestamp)
 
 
 def write_fimi(transactions: Iterable[Transaction], fh: IO[str]) -> None:

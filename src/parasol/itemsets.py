@@ -8,6 +8,7 @@ they are safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -17,7 +18,7 @@ Items = tuple[int, ...]
 def itemset(items: Iterable[int]) -> Items:
     """Canonical itemset: deduplicated, sorted ascending, non-negative ints.
 
-    Item ids are arbitrary 32-bit-range integers; 0 is accepted. No
+    Item ids are arbitrary non-negative integers; 0 is accepted. No
     densification/remapping is ever applied (a one-pass stream cannot be
     pre-scanned for its alphabet).
     """
@@ -45,14 +46,17 @@ def is_subset(a: Items, b: Items) -> bool:
 
 @dataclass(frozen=True)
 class Transaction:
-    """One itemset arriving at a logical timestamp (1-based, consecutive)."""
+    """One canonical itemset arriving at a logical timestamp (1-based, consecutive)."""
 
     items: Items
     timestamp: int
 
     def __post_init__(self) -> None:
-        if not self.items:
+        items = self.items
+        if not items:
             raise ValueError("transactions must be non-empty")
+        if items[0] < 0 or not all(map(operator.lt, items, items[1:])):
+            raise ValueError(f"items must be strictly increasing and non-negative, got {items}")
         if self.timestamp < 1:
             raise ValueError("timestamps are positive")
 

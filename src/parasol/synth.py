@@ -10,9 +10,14 @@ above epsilon during the flood and then decays back toward it.
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
 from .itemsets import Transaction, itemset
+
+CALM_UNIVERSE = 24
+CALM_MAX_LEN = 4
+BURST_POOL = 14
+BURST_MIN_LEN = 9
+BURST_LO = 1000  # the flood alphabet sits far above the calm one
 
 
 def random_stream(
@@ -35,10 +40,6 @@ def burst_stream(
     calm_len: int = 400,
     burst_len: int = 30,
     tail_len: int = 2200,
-    calm_universe: int = 24,
-    calm_max_len: int = 4,
-    burst_pool: int = 14,
-    burst_min_len: int = 9,
 ) -> list[Transaction]:
     """Calm / flood / calm transaction stream with a fixed seed.
 
@@ -55,16 +56,15 @@ def burst_stream(
         nonlocal ts
         for _ in range(count):
             ts += 1
-            length = rng.randint(1, calm_max_len)
-            items = rng.sample(range(1, calm_universe + 1), length)
+            length = rng.randint(1, CALM_MAX_LEN)
+            items = rng.sample(range(1, CALM_UNIVERSE + 1), length)
             out.append(Transaction(itemset(items), ts))
 
     calm(calm_len)
-    burst_lo = 1000  # flood alphabet sits far above the calm one
     for _ in range(burst_len):
         ts += 1
-        length = rng.randint(burst_min_len, burst_pool)
-        items = rng.sample(range(burst_lo, burst_lo + burst_pool), length)
+        length = rng.randint(BURST_MIN_LEN, BURST_POOL)
+        items = rng.sample(range(BURST_LO, BURST_LO + BURST_POOL), length)
         out.append(Transaction(itemset(items), ts))
     calm(tail_len)
     return out

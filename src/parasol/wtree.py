@@ -11,15 +11,17 @@ shortcuts:
   is contained in the mask (descendant-intersect-skipping), skipping
   subtrees with an empty overlap (descendant-update-skipping), and
   abandoning right siblings once the mask is contained in a node's
-  itemset (successor-update-skipping);
+  itemset (successor-update-skipping); these four rules are the walk
+  itself and are always on;
 * eviction pops minima from a heap over the root's children and
   reattaches their children to the root;
 * a single bottom-up pass can absorb every child whose estimate is
   within the final error budget of its parent's, as a cheap prelude to
   full pairwise compaction.
 
-The index is behaviourally identical to the flat loop in `engine`: after
-any prefix of the stream both hold the same entries and the same error.
+A tree built by `update` (and trimmed by `delete_minima`) is
+behaviourally identical to the flat loop in `engine`: after any prefix
+of the stream both hold the same entries and the same error.
 Nodes never materialize their conceptual transaction-subset address
 (that would cost O(n) bits each); ancestry and sibling order carry the
 same information. `covers` below exists for address-level reasoning in
@@ -77,10 +79,10 @@ class WNode:
 class _Frame:
     __slots__ = ("node", "mask", "probe", "ci", "stop")
 
-    def __init__(self, node: WNode, mask: Items, probe: set[int]) -> None:
+    def __init__(self, node: WNode, mask: Items) -> None:
         self.node = node
         self.mask = mask  # the itemset this frame is narrowing toward
-        self.probe = probe  # item set used for overlap tests
+        self.probe = set(mask)  # the mask as a set, for overlap tests
         self.ci = 0
         self.stop = False
 
@@ -122,13 +124,7 @@ class WeepingTree:
 
     # -- update ---------------------------------------------------------
 
-    def update(
-        self,
-        items: Items,
-        delta_prev: int,
-        timestamp: int,
-        disable: frozenset[str] = frozenset(),
-    ) -> tuple[int, int]:
+    def update(self, items: Items, delta_prev: int, timestamp: int) -> tuple[int, int]:
         """Fold one transaction in; returns (nodes touched, intersections).
 
         Equivalent to the flat sweep: every stored itemset contained in
@@ -138,27 +134,16 @@ class WeepingTree:
         never narrows to an existing or created entry for the whole
         transaction, the root contributes the pair (delta_prev,
         delta_prev) so the fresh entry ends at count delta_prev + 1.
-
-        `disable` turns off pruning rules (any of "dis", "masking",
-        "dus", "sus") for differential testing; disabling prunes may only
-        increase the work counters, never change the result.
         """
         self._epoch += 1
         root = self.root
         root.count = delta_prev
         root.err = delta_prev
-        use_dis = "dis" not in disable
-        use_masking = "masking" not in disable
-        use_dus = "dus" not in disable
-        use_sus = "sus" not in disable
         visits = 0
         intersections = 0
         trace = self.trace
 
-        def probe_for(mask: Items) -> set[int]:
-            return set(mask) if use_masking else set(items)
-
-        stack = [_Frame(root, items, set(items))]
+        stack = [_Frame(root, items)]
         while stack:
             f = stack[-1]
             if not f.stop and f.ci < len(f.node.children):
@@ -166,26 +151,19 @@ class WeepingTree:
                 f.ci += 1
                 visits += self._touch(y)
                 intersections += 1
-                # equals alpha_y intersect f.mask even when probing wide
                 overlap = tuple(x for x in y.alpha if x in f.probe)
-                if len(overlap) == len(y.alpha) and use_dis:
+                if len(overlap) == len(f.mask):
+                    f.stop = True  # the mask lies inside y: skip y's right siblings
+                if len(overlap) == len(y.alpha):
                     visits += self._bump_subtree(y)
                     if trace is not None:
                         trace.append(("hit-subtree", y.alpha))
-                elif overlap or not use_dus:
-                    if len(overlap) == len(y.alpha):
-                        y.count += 1  # dis disabled: bump here, walk on below
-                    elif trace is not None:
-                        trace.append(("descend", y.alpha, overlap))
-                    if use_sus and len(overlap) == len(f.mask):
-                        f.stop = True
-                    stack.append(_Frame(y, overlap, probe_for(overlap)))
-                    continue
-                else:
+                elif overlap:
                     if trace is not None:
-                        trace.append(("skip-subtree", y.alpha))
-                if use_sus and len(overlap) == len(f.mask):
-                    f.stop = True
+                        trace.append(("descend", y.alpha, overlap))
+                    stack.append(_Frame(y, overlap))
+                elif trace is not None:
+                    trace.append(("skip-subtree", y.alpha))
             else:
                 if f.stop and trace is not None:
                     skipped = tuple(c.alpha for c in f.node.children[f.ci :])
@@ -234,24 +212,6 @@ class WeepingTree:
         parent.children.append(node)  # right-most keeps sibling order by age
         self._index[alpha] = node
         return node
-
-    def insert_entry(self, alpha: Items, count: int, err: int, birth: int = 0) -> WNode:
-        """Attach a new entry under a representative of its itemset.
-
-        The parent is the max-count node whose itemset contains alpha
-        (ties to the oldest), or the root when none exists. The update
-        walk attaches nodes itself; this is the standalone form of the
-        same placement rule.
-        """
-        if alpha in self._index:
-            raise KeyError(f"entry for {alpha} already stored")
-        aset = set(alpha)
-        rep: WNode | None = None
-        for node in self.nodes():
-            if aset.issubset(node.alpha):
-                if rep is None or node.count > rep.count:
-                    rep = node
-        return self._attach(rep or self.root, alpha, count, err, birth, own=False)
 
     # -- eviction -------------------------------------------------------
 

@@ -31,7 +31,7 @@ def table_of(rows):
 class TestIntersectStep:
     def test_first_transaction(self):
         t = EntryTable()
-        intersect_step(t, Transaction((1, 2), 1), 0)
+        assert intersect_step(t, Transaction((1, 2), 1), 0) == (1, 1)
         assert as_dict(t.snapshot()) == {(1, 2): (1, 0)}
 
     def test_no_eviction_replay_counts_closed_sets(self):
@@ -50,7 +50,8 @@ class TestIntersectStep:
                 ((5,), 4, 0, 4, False),
             ]
         )
-        intersect_step(t, Transaction((1, 3, 5), 5), 3)
+        # the fresh (1, 3, 5) joins the sweep: four entries visited and intersected
+        assert intersect_step(t, Transaction((1, 3, 5), 5), 3) == (4, 4)
         assert as_dict(t.snapshot()) == {
             (5,): (5, 0),
             (1, 5): (4, 0),
@@ -89,7 +90,7 @@ class TestIntersectStep:
     def test_repeated_transaction_reuses_entry(self):
         t = EntryTable()
         intersect_step(t, Transaction((1, 2), 1), 0)
-        intersect_step(t, Transaction((1, 2), 2), 0)
+        assert intersect_step(t, Transaction((1, 2), 2), 0) == (1, 1)
         assert as_dict(t.snapshot()) == {(1, 2): (2, 0)}
 
 

@@ -31,9 +31,11 @@ def test_blank_lines_skipped_and_counted():
 
 
 def test_non_integer_token_reports_line():
-    with pytest.raises(ParseError) as err:
-        parse_text("1 2\n3 x 4\n")
-    assert err.value.lineno == 2
+    # only runs of ASCII digits are items, whatever else int() would take
+    for token in ("x", "\u0663", "\uff15", "1_000", "+5"):
+        with pytest.raises(ParseError) as err:
+            parse_text(f"1 2\n3 {token} 4\n")
+        assert err.value.lineno == 2, token
 
 
 def test_negative_item_rejected():

@@ -72,6 +72,9 @@ def test_transaction_validation():
         Transaction((), 1)
     with pytest.raises(ValueError):
         Transaction((1,), 0)
+    for items in ((2, 1), (1, 1), (-1, 2)):
+        with pytest.raises(ValueError):
+            Transaction(items, 1)
 
 
 def test_cover_pinned_chain():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from parasol import Transaction, WeepingTree, covers, itemset, replay
+from parasol import Transaction, WeepingTree, covers, itemset, random_stream, replay
 from parasol.engine import StreamState, process_transaction
 
 from helpers import DROP_ONE, OVERLAP4, as_dict, random_streams
@@ -171,41 +171,16 @@ class TestUpdateTrace:
                 assert s.visits <= s.pre_size
                 assert s.intersections <= s.pre_size
 
-
-class TestInsertEntry:
-    def test_attaches_under_representative(self):
-        state = replay(DROP_ONE[:3], backend="wtree")
-        tree = state.table
-        node = tree.insert_entry((2, 5), 3, 0, birth=4)
-        assert node.parent.alpha == (2, 4, 5)  # max-count containing entry
-
-    def test_attaches_to_root_without_superset(self):
-        tree = WeepingTree()
-        node = tree.insert_entry((1, 2), 1, 0, birth=1)
-        assert node.parent is tree.root
-
-    def test_rejects_duplicates(self):
-        tree = WeepingTree()
-        tree.insert_entry((1,), 1, 0)
-        with pytest.raises(KeyError):
-            tree.insert_entry((1,), 2, 0)
-
-    def test_random_positions_match_brute_force_representative(self):
-        rng = random.Random(17)
-        for _, stream in random_streams(25, base_seed=61):
-            state = replay(stream, k=5, backend="wtree")
-            tree = state.table
-            entries = tree.snapshot()
-            alpha = itemset(rng.sample(range(1, 8), rng.randint(1, 3)))
-            if alpha in tree:
-                continue
-            node = tree.insert_entry(alpha, 1, 0, birth=99)
-            supersets = [e for e in entries if set(alpha) <= set(e.alpha)]
-            if supersets:
-                assert set(alpha) <= set(node.parent.alpha)
-                assert node.parent.count == max(e.count for e in supersets)
-            else:
-                assert node.parent is tree.root
+    def test_pruned_walk_is_pinned(self):
+        # every pruning rule fires, and the walk's work is pinned exactly
+        state = StreamState(k=40, epsilon=0.05, backend="wtree")
+        state.table.trace = []
+        for t in random_stream(random.Random(404), 120, 10, 8):
+            process_transaction(state, t)
+        kinds = {event[0] for event in state.table.trace}
+        assert {"hit-subtree", "descend", "skip-subtree", "skip-right-siblings"} <= kinds
+        assert sum(s.intersections for s in state.steps) == 3_393
+        assert sum(s.visits for s in state.steps) == 3_526
 
 
 class TestDeleteMinima:
