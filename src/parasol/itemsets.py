@@ -29,6 +29,14 @@ def itemset(items: Iterable[int]) -> Items:
     return out
 
 
+def require_canonical(items: Items) -> None:
+    """Raise ValueError unless items are non-empty, strictly increasing and non-negative."""
+    if not items or items[0] < 0 or not all(map(operator.lt, items, items[1:])):
+        raise ValueError(
+            f"itemsets must be non-empty, strictly increasing and non-negative, got {items}"
+        )
+
+
 def intersect(a: Items, b: Items) -> Items:
     """Sorted intersection of two canonical itemsets; () when disjoint."""
     if len(b) < len(a):
@@ -52,11 +60,7 @@ class Transaction:
     timestamp: int
 
     def __post_init__(self) -> None:
-        items = self.items
-        if not items:
-            raise ValueError("transactions must be non-empty")
-        if items[0] < 0 or not all(map(operator.lt, items, items[1:])):
-            raise ValueError(f"items must be strictly increasing and non-negative, got {items}")
+        require_canonical(self.items)
         if self.timestamp < 1:
             raise ValueError("timestamps are positive")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Iterator
 
-from .itemsets import Entry, Items
+from .itemsets import Entry, Items, require_canonical
 
 # record layout: [count, err, birth, own]
 _COUNT, _ERR, _BIRTH, _OWN = range(4)
@@ -47,6 +47,7 @@ class EntryTable:
         return iter(self._rec.items())
 
     def insert(self, alpha: Items, count: int, err: int, birth: int, own: bool) -> None:
+        require_canonical(alpha)
         if alpha in self._rec:
             raise KeyError(f"duplicate entry for {alpha}")
         self._rec[alpha] = [count, err, birth, 0 if own else 1]

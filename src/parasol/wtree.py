@@ -12,7 +12,10 @@ shortcuts:
   subtrees with an empty overlap (descendant-update-skipping), and
   abandoning right siblings once the mask is contained in a node's
   itemset (successor-update-skipping); these four rules are the walk
-  itself and are always on;
+  itself and are always on. Because a node's itemset lies inside each
+  ancestor's, narrowing a child by the mask equals narrowing it by the
+  whole transaction, so an update tests membership in one set of the
+  transaction's items at every depth;
 * eviction pops minima from a heap over the root's children and
   reattaches their children to the root;
 * a single bottom-up pass can absorb every child whose estimate is
@@ -33,7 +36,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Iterable, Iterator
 
-from .itemsets import Entry, Items
+from .itemsets import Entry, Items, require_canonical
 
 
 def covers(x_bits: Iterable[int], y_bits: Iterable[int]) -> bool:
@@ -74,17 +77,6 @@ class WNode:
 
     def _evict_key(self) -> tuple[int, int, int, Items]:
         return (self.count, self.birth, self.own, self.alpha)
-
-
-class _Frame:
-    __slots__ = ("node", "mask", "probe", "ci", "stop")
-
-    def __init__(self, node: WNode, mask: Items) -> None:
-        self.node = node
-        self.mask = mask  # the itemset this frame is narrowing toward
-        self.probe = set(mask)  # the mask as a set, for overlap tests
-        self.ci = 0
-        self.stop = False
 
 
 class WeepingTree:
@@ -134,7 +126,13 @@ class WeepingTree:
         never narrows to an existing or created entry for the whole
         transaction, the root contributes the pair (delta_prev,
         delta_prev) so the fresh entry ends at count delta_prev + 1.
+
+        Every overlap is taken against one set of the transaction's items.
+        That is exact because a node's itemset lies inside each ancestor's:
+        a frame's mask is its node's overlap with the transaction, so for
+        any child y, y & mask == y & node & items == y & items.
         """
+        require_canonical(items)
         self._epoch += 1
         root = self.root
         root.count = delta_prev
@@ -142,18 +140,23 @@ class WeepingTree:
         visits = 0
         intersections = 0
         trace = self.trace
+        tset = set(items)
 
-        stack = [_Frame(root, items)]
+        # a frame is [node, mask, index of the next child, stop]; the mask
+        # is the itemset the frame narrows toward, and stop is set once the
+        # mask lies inside a child, which skips that child's right siblings
+        stack = [[root, items, 0, False]]
         while stack:
             f = stack[-1]
-            if not f.stop and f.ci < len(f.node.children):
-                y = f.node.children[f.ci]
-                f.ci += 1
+            node, mask, ci, stop = f
+            if not stop and ci < len(node.children):
+                y = node.children[ci]
+                f[2] = ci + 1
                 visits += self._touch(y)
                 intersections += 1
-                overlap = tuple(x for x in y.alpha if x in f.probe)
-                if len(overlap) == len(f.mask):
-                    f.stop = True  # the mask lies inside y: skip y's right siblings
+                overlap = tuple(x for x in y.alpha if x in tset)
+                if len(overlap) == len(mask):
+                    f[3] = True
                 if len(overlap) == len(y.alpha):
                     visits += self._bump_subtree(y)
                     if trace is not None:
@@ -161,26 +164,21 @@ class WeepingTree:
                 elif overlap:
                     if trace is not None:
                         trace.append(("descend", y.alpha, overlap))
-                    stack.append(_Frame(y, overlap))
+                    stack.append([y, overlap, 0, False])
                 elif trace is not None:
                     trace.append(("skip-subtree", y.alpha))
             else:
-                if f.stop and trace is not None:
-                    skipped = tuple(c.alpha for c in f.node.children[f.ci :])
+                if stop and trace is not None:
+                    skipped = tuple(c.alpha for c in node.children[ci:])
                     if skipped:
-                        trace.append(("skip-right-siblings", f.node.alpha, skipped))
-                if f.mask and f.mask not in self._index:
-                    node = self._attach(
-                        f.node,
-                        f.mask,
-                        f.node.count + 1,
-                        f.node.err,
-                        timestamp,
-                        own=(f.mask == items),
+                        trace.append(("skip-right-siblings", node.alpha, skipped))
+                if mask not in self._index:  # items and every pushed overlap are non-empty
+                    created = self._attach(
+                        node, mask, node.count + 1, node.err, timestamp, own=(mask == items)
                     )
                     if trace is not None:
                         trace.append(
-                            ("create", node.alpha, f.node.alpha, node.count, node.err)
+                            ("create", created.alpha, node.alpha, created.count, created.err)
                         )
                 stack.pop()
         return visits, intersections

@@ -62,6 +62,31 @@ def random_streams(count: int, base_seed: int = 0, max_n: int = 12, max_universe
         yield s, stream
 
 
+def check_tree_shape(tree, counts: bool = True) -> None:
+    """Assert the weeping tree's structural invariants.
+
+    The nodes reachable from the root are exactly the index, every parent
+    link matches, and each child's itemset is a proper subset of its
+    parent's. With counts, each child's count is also at least its
+    parent's; `precompress_scan` gives that up, because an absorbing
+    parent takes its child's count and can overtake its other children.
+    """
+    seen = 0
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        for child in node.children:
+            assert child.parent is node, (child.alpha, node.alpha)
+            assert tree._index.get(child.alpha) is child, child.alpha
+            if node is not tree.root:
+                assert set(child.alpha) < set(node.alpha), (child.alpha, node.alpha)
+                if counts:
+                    assert child.count >= node.count, (child.alpha, node.alpha)
+            seen += 1
+            stack.append(child)
+    assert seen == len(tree._index)
+
+
 # -- bitmask support model (universe must fit in a few bits) -------------
 
 

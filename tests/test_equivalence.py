@@ -10,7 +10,7 @@ import random
 
 from parasol import StreamState, process_transaction, random_stream
 
-from helpers import random_streams
+from helpers import check_tree_shape, random_streams
 
 GRID = [(k, eps) for k in (1, 2, 4, math.inf) for eps in (0.0, 0.15, 0.4)]
 
@@ -23,6 +23,7 @@ def test_backends_agree_stepwise():
             for t in stream:
                 process_transaction(flat, t)
                 process_transaction(tree, t)
+                check_tree_shape(tree.table)
                 assert flat.delta == tree.delta, (sid, k, eps, t.timestamp)
                 assert flat.snapshot() == tree.snapshot(), (sid, k, eps, t.timestamp)
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from parasol import (
     Entry,
     Transaction,
+    WeepingTree,
     find_representative,
     intersect,
     is_delta_covered,
@@ -13,6 +14,7 @@ from parasol import (
     itemset,
 )
 from parasol.oracle import enumerate_closed, enumerate_fis
+from parasol.table import EntryTable
 
 from helpers import CHAIN5, random_streams
 
@@ -75,6 +77,17 @@ def test_transaction_validation():
     for items in ((2, 1), (1, 1), (-1, 2)):
         with pytest.raises(ValueError):
             Transaction(items, 1)
+
+
+def test_stores_reject_non_canonical_itemsets():
+    for items in ((2, 1), (-1, 2)):
+        table = EntryTable()
+        with pytest.raises(ValueError):
+            table.insert(items, 1, 0, 1, True)
+        tree = WeepingTree()
+        with pytest.raises(ValueError):
+            tree.update(items, 0, 1)
+        assert len(table) == len(tree) == 0
 
 
 def test_cover_pinned_chain():

@@ -6,7 +6,7 @@ import pytest
 from parasol import Transaction, WeepingTree, covers, itemset, random_stream, replay
 from parasol.engine import StreamState, process_transaction
 
-from helpers import DROP_ONE, OVERLAP4, as_dict, random_streams
+from helpers import DROP_ONE, OVERLAP4, as_dict, check_tree_shape, random_streams
 
 FULL_TREE = """\
 2 3 4 5\t1\t0\t1
@@ -182,6 +182,31 @@ class TestUpdateTrace:
         assert sum(s.intersections for s in state.steps) == 3_393
         assert sum(s.visits for s in state.steps) == 3_526
 
+    def test_deep_descents_match_flat_and_are_pinned(self):
+        # a 12-item alphabet with long baskets nests thousands of closed
+        # sets, so nearly every intersection descends several levels
+        rng = random.Random(1200)
+        stream = [
+            Transaction(tuple(sorted(rng.sample(range(12), rng.randint(5, 10)))), i)
+            for i in range(1, 101)
+        ]
+        flat = StreamState(k=5000, epsilon=0.03, backend="flat")
+        tree = StreamState(k=5000, epsilon=0.03, backend="wtree")
+        tree.table.trace = []
+        for t in stream:
+            process_transaction(flat, t)
+            process_transaction(tree, t)
+            assert flat.delta == tree.delta, t.timestamp
+            assert len(flat.table) == len(tree.table), t.timestamp
+            if t.timestamp % 25 == 0:
+                assert flat.snapshot() == tree.snapshot(), t.timestamp
+        kinds = {event[0] for event in tree.table.trace}
+        assert {"hit-subtree", "descend", "skip-subtree", "skip-right-siblings"} <= kinds
+        assert sum(s.intersections for s in tree.steps) == 68_991
+        assert sum(s.visits for s in tree.steps) == 79_124
+        assert len(tree.table) == 2_442
+        assert tree.delta == 3
+
 
 class TestDeleteMinima:
     def test_matches_reduced_tree_fixture(self):
@@ -233,6 +258,4 @@ class TestPrecompressScan:
         for _, stream in random_streams(30, base_seed=23):
             state = replay(stream, k=5, backend="wtree")
             state.table.precompress_scan(state.delta)
-            for node in state.table.nodes():
-                for child in node.children:
-                    assert set(child.alpha) <= set(node.alpha)
+            check_tree_shape(state.table, counts=False)
