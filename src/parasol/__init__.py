@@ -42,7 +42,7 @@ from .oracle import (
 )
 from .synth import burst_stream, random_stream
 from .table import EntryTable
-from .wtree import WeepingTree, WNode, covers
+from .wtree import WeepingTree, WNode
 
 __version__ = "0.1.0"
 
@@ -61,7 +61,6 @@ __all__ = [
     "WeepingTree",
     "burst_stream",
     "compress_two_step",
-    "covers",
     "delta_compress",
     "enumerate_closed",
     "enumerate_delta_closed",

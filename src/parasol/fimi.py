@@ -7,6 +7,7 @@ yielded as they are read, with timestamps assigned 1..n in file order.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
@@ -35,7 +36,8 @@ def parse_fimi(
 
     Items on a line are deduplicated and sorted; blank lines are skipped
     (counted in stats.skipped); any token that is not a run of ASCII
-    digits aborts with a ParseError carrying the line number.
+    digits, or that has more digits than int() converts (4,300 by
+    default), aborts with a ParseError carrying the line number.
     """
     counters = stats if stats is not None else ParseStats()
     timestamp = 0
@@ -49,9 +51,14 @@ def parse_fimi(
         if not (digits.isascii() and digits.isdigit()):
             bad = next(tok for tok in tokens if not (tok.isascii() and tok.isdigit()))
             raise ParseError(lineno, f"not a non-negative integer item: {bad!r}")
+        try:
+            items = itemset(map(int, tokens))
+        except ValueError:  # only a token past int()'s digit limit gets here
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(lineno, f"item longer than {limit} digits") from None
         timestamp += 1
         counters.transactions = timestamp
-        yield Transaction(itemset(map(int, tokens)), timestamp)
+        yield Transaction(items, timestamp)
 
 
 def write_fimi(transactions: Iterable[Transaction], fh: IO[str]) -> None:

@@ -15,7 +15,10 @@ shortcuts:
   itself and are always on. Because a node's itemset lies inside each
   ancestor's, narrowing a child by the mask equals narrowing it by the
   whole transaction, so an update tests membership in one set of the
-  transaction's items at every depth;
+  transaction's items at every depth. The walk keeps no per-node state:
+  it stamps nothing on the nodes it visits, and it resolves a descent
+  into a leaf and a hit on a leaf in place, without a frame or a
+  subtree pass;
 * eviction pops minima from a heap over the root's children and
   reattaches their children to the root;
 * a single bottom-up pass can absorb every child whose estimate is
@@ -27,38 +30,19 @@ behaviourally identical to the flat loop in `engine`: after any prefix
 of the stream both hold the same entries and the same error.
 Nodes never materialize their conceptual transaction-subset address
 (that would cost O(n) bits each); ancestry and sibling order carry the
-same information. `covers` below exists for address-level reasoning in
-tests.
+same information.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .itemsets import Entry, Items, require_canonical
 
 
-def covers(x_bits: Iterable[int], y_bits: Iterable[int]) -> bool:
-    """Address-level covering: y agrees with x through x's last set bit.
-
-    Addresses are equal-width 0/1 sequences, most significant (oldest
-    timestamp) first. The all-zero address covers everything. Covering
-    implies the covered node's itemset is a subset of the coverer's.
-    """
-    x = tuple(x_bits)
-    y = tuple(y_bits)
-    if len(x) != len(y):
-        raise ValueError("addresses must have equal width")
-    last = 0
-    for j, bit in enumerate(x, start=1):
-        if bit:
-            last = j
-    return all(y[j] == x[j] for j in range(last))
-
-
 class WNode:
-    __slots__ = ("alpha", "count", "err", "birth", "own", "parent", "children", "stamp")
+    __slots__ = ("alpha", "count", "err", "birth", "own", "parent", "children")
 
     def __init__(
         self, alpha: Items, count: int, err: int, birth: int, own: bool
@@ -70,7 +54,6 @@ class WNode:
         self.own = 0 if own else 1  # transaction-born entries evict first among ties
         self.parent: WNode | None = None
         self.children: list[WNode] = []
-        self.stamp = 0
 
     def entry(self) -> Entry:
         return Entry(self.alpha, self.count, self.err)
@@ -82,12 +65,11 @@ class WNode:
 class WeepingTree:
     """Tree-indexed entry table; one writer, snapshots for readers."""
 
-    __slots__ = ("root", "_index", "_epoch", "trace")
+    __slots__ = ("root", "_index", "trace")
 
     def __init__(self) -> None:
         self.root = WNode((), 0, 0, 0, own=False)
         self._index: dict[Items, WNode] = {}
-        self._epoch = 0
         # optional event sink for instrumented traces: list of tuples
         self.trace: list[tuple] | None = None
 
@@ -131,9 +113,13 @@ class WeepingTree:
         That is exact because a node's itemset lies inside each ancestor's:
         a frame's mask is its node's overlap with the transaction, so for
         any child y, y & mask == y & node & items == y & items.
+
+        Each node is visited at most once and nothing is stamped on it.
+        A descent into a leaf resolves the leaf's overlap at once (find
+        it, or attach it under the leaf) instead of pushing a frame, and
+        a hit on a leaf bumps its count in place.
         """
         require_canonical(items)
-        self._epoch += 1
         root = self.root
         root.count = delta_prev
         root.err = delta_prev
@@ -152,51 +138,55 @@ class WeepingTree:
             if not stop and ci < len(node.children):
                 y = node.children[ci]
                 f[2] = ci + 1
-                visits += self._touch(y)
+                visits += 1
                 intersections += 1
                 overlap = tuple(x for x in y.alpha if x in tset)
                 if len(overlap) == len(mask):
                     f[3] = True
                 if len(overlap) == len(y.alpha):
-                    visits += self._bump_subtree(y)
+                    if y.children:
+                        visits += self._bump_subtree(y)
+                    else:
+                        y.count += 1
                     if trace is not None:
                         trace.append(("hit-subtree", y.alpha))
-                elif overlap:
+                    continue
+                if not overlap:
                     if trace is not None:
-                        trace.append(("descend", y.alpha, overlap))
+                        trace.append(("skip-subtree", y.alpha))
+                    continue
+                if trace is not None:
+                    trace.append(("descend", y.alpha, overlap))
+                if y.children:
                     stack.append([y, overlap, 0, False])
-                elif trace is not None:
-                    trace.append(("skip-subtree", y.alpha))
+                    continue
+                node, mask = y, overlap  # a leaf's frame would only resolve its mask
             else:
-                if stop and trace is not None:
-                    skipped = tuple(c.alpha for c in node.children[ci:])
-                    if skipped:
-                        trace.append(("skip-right-siblings", node.alpha, skipped))
-                if mask not in self._index:  # items and every pushed overlap are non-empty
-                    created = self._attach(
-                        node, mask, node.count + 1, node.err, timestamp, own=(mask == items)
-                    )
-                    if trace is not None:
-                        trace.append(
-                            ("create", created.alpha, node.alpha, created.count, created.err)
-                        )
                 stack.pop()
+                if stop:
+                    # a child's overlap equalled the mask: that child is the
+                    # mask's entry, or its descent found or created it
+                    if trace is not None:
+                        skipped = tuple(c.alpha for c in node.children[ci:])
+                        if skipped:
+                            trace.append(("skip-right-siblings", node.alpha, skipped))
+                    continue
+            if mask not in self._index:  # items and every descended overlap are non-empty
+                created = self._attach(
+                    node, mask, node.count + 1, node.err, timestamp, own=(mask == items)
+                )
+                if trace is not None:
+                    trace.append(("create", created.alpha, node.alpha, created.count, created.err))
         return visits, intersections
 
-    def _touch(self, node: WNode) -> int:
-        if node.stamp == self._epoch:
-            raise RuntimeError(f"node {node.alpha} visited twice in one update")
-        node.stamp = self._epoch
-        return 1
-
     def _bump_subtree(self, top: WNode) -> int:
-        """+1 on top and every descendant; the subtree lies inside the mask."""
+        """+1 on top and every descendant, all inside the mask; returns how many descendants."""
         extra = 0
         top.count += 1
         stack = list(top.children)
         while stack:
             node = stack.pop()
-            extra += self._touch(node)
+            extra += 1
             node.count += 1
             stack.extend(node.children)
         return extra
@@ -206,7 +196,6 @@ class WeepingTree:
     ) -> WNode:
         node = WNode(alpha, count, err, birth, own)
         node.parent = parent
-        node.stamp = self._epoch
         parent.children.append(node)  # right-most keeps sibling order by age
         self._index[alpha] = node
         return node

@@ -11,6 +11,10 @@ Streams used repeatedly:
   {1,2,3,4} has supports 5, 4, 4, 3, the pinned configuration for the
   cover-predicate and delta-closed examples.
 
+GRID is the (k, epsilon) grid of the stepwise backend comparison.
+`covers` is the address-level covering predicate the tree's address
+tests reason with.
+
 The mask helpers re-express itemsets over a small universe as bit
 masks so the soak tests can enumerate supports and representatives
 quickly; they are test-side only.
@@ -18,9 +22,11 @@ quickly; they are test-side only.
 
 from __future__ import annotations
 
+import math
 import random
 
-from parasol import Entry, Transaction, itemset
+from parasol import Entry, Transaction, WeepingTree, itemset
+from parasol.engine import eviction_rule
 
 UNIVERSE5 = (1, 2, 3, 4, 5)
 
@@ -43,6 +49,9 @@ CHAIN5 = tuple(
 )
 
 
+GRID = [(k, eps) for k in (1, 2, 4, math.inf) for eps in (0.0, 0.15, 0.4)]
+
+
 def as_dict(entries) -> dict[tuple[int, ...], tuple[int, int]]:
     return {e.alpha: (e.count, e.err) for e in entries}
 
@@ -60,6 +69,24 @@ def random_streams(count: int, base_seed: int = 0, max_n: int = 12, max_universe
                 Transaction(itemset(rng.sample(range(1, universe + 1), length)), i)
             )
         yield s, stream
+
+
+def covers(x_bits, y_bits) -> bool:
+    """Address-level covering: y agrees with x through x's last set bit.
+
+    Addresses are equal-width 0/1 sequences, most significant (oldest
+    timestamp) first. The all-zero address covers everything. Covering
+    implies the covered node's itemset is a subset of the coverer's.
+    """
+    x = tuple(x_bits)
+    y = tuple(y_bits)
+    if len(x) != len(y):
+        raise ValueError("addresses must have equal width")
+    last = 0
+    for j, bit in enumerate(x, start=1):
+        if bit:
+            last = j
+    return all(y[j] == x[j] for j in range(last))
 
 
 def check_tree_shape(tree, counts: bool = True) -> None:
@@ -85,6 +112,50 @@ def check_tree_shape(tree, counts: bool = True) -> None:
             seen += 1
             stack.append(child)
     assert seen == len(tree._index)
+
+
+def check_walk_visits(tree, visits: int) -> None:
+    """Assert that the last update visited each node once and counted it.
+
+    `tree.trace` must hold that update's events only, and the tree must
+    not have been trimmed since. The visited nodes are the ones its
+    hit-subtree, descend and skip-subtree events name, plus every
+    descendant of each hit node, which the hit bumps without naming; no
+    node the update created is among them. Within one update an itemset
+    names one node, so the nodes are told apart by itemset.
+    """
+    seen = []
+    created = set()
+    for event in tree.trace:
+        if event[0] in ("descend", "skip-subtree"):
+            seen.append(event[1])
+        elif event[0] == "hit-subtree":
+            stack = [tree._index[event[1]]]
+            while stack:
+                node = stack.pop()
+                seen.append(node.alpha)
+                stack.extend(node.children)
+        elif event[0] == "create":
+            created.add(event[1])
+    assert len(set(seen)) == len(seen), "a node was visited twice in one update"
+    assert created.isdisjoint(seen), "a node created by the update was visited"
+    assert len(seen) == visits, (len(seen), visits)
+
+
+def replay_checking_visits(stream, k: float, epsilon: float) -> list[tuple[int, int]]:
+    """Replay a stream on a bare tree as `process_transaction` does,
+    checking every update's visits; returns each step's (visits,
+    intersections)."""
+    tree = WeepingTree()
+    delta = 0
+    steps = []
+    for t in stream:
+        tree.trace = []
+        visits, intersections = tree.update(t.items, delta, t.timestamp)
+        check_walk_visits(tree, visits)
+        delta = tree.delete_minima(eviction_rule(k, epsilon, t.timestamp), delta)
+        steps.append((visits, intersections))
+    return steps
 
 
 # -- bitmask support model (universe must fit in a few bits) -------------

@@ -159,6 +159,14 @@ def test_undecodable_byte_is_a_parse_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_overlong_item_is_a_parse_error(tmp_path, capsys):
+    # one digit past int()'s default limit of 4,300
+    bad = tmp_path / "bad.dat"
+    bad.write_text("1 2\n1 " + "9" * 4_301 + "\n")
+    assert run_cli(["--input", str(bad), "--mode", "exact"]) == EXIT_PARSE
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_io_error_exit(tmp_path, capsys):
     missing = tmp_path / "nope.dat"
     assert run_cli(["--input", str(missing), "--mode", "exact"]) == EXIT_IO

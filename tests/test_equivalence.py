@@ -10,9 +10,7 @@ import random
 
 from parasol import StreamState, process_transaction, random_stream
 
-from helpers import check_tree_shape, random_streams
-
-GRID = [(k, eps) for k in (1, 2, 4, math.inf) for eps in (0.0, 0.15, 0.4)]
+from helpers import GRID, check_tree_shape, random_streams
 
 
 def test_backends_agree_stepwise():

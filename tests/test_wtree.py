@@ -3,10 +3,19 @@ import random
 
 import pytest
 
-from parasol import Transaction, WeepingTree, covers, itemset, random_stream, replay
+from parasol import Transaction, WeepingTree, itemset, random_stream, replay
 from parasol.engine import StreamState, process_transaction
 
-from helpers import DROP_ONE, OVERLAP4, as_dict, check_tree_shape, random_streams
+from helpers import (
+    DROP_ONE,
+    GRID,
+    OVERLAP4,
+    as_dict,
+    check_tree_shape,
+    covers,
+    random_streams,
+    replay_checking_visits,
+)
 
 FULL_TREE = """\
 2 3 4 5\t1\t0\t1
@@ -73,6 +82,20 @@ class TestCovers:
                 if covers(x, y):
                     a_x, a_y = itemset_of(x, stream), itemset_of(y, stream)
                     assert set(a_y) <= set(a_x)
+
+
+def pruned_stream():
+    return random_stream(random.Random(404), 120, 10, 8)
+
+
+def deep_stream():
+    # a 12-item alphabet with long baskets nests thousands of closed
+    # sets, so nearly every intersection descends several levels
+    rng = random.Random(1200)
+    return [
+        Transaction(tuple(sorted(rng.sample(range(12), rng.randint(5, 10)))), i)
+        for i in range(1, 101)
+    ]
 
 
 class TestAddressModel:
@@ -175,7 +198,7 @@ class TestUpdateTrace:
         # every pruning rule fires, and the walk's work is pinned exactly
         state = StreamState(k=40, epsilon=0.05, backend="wtree")
         state.table.trace = []
-        for t in random_stream(random.Random(404), 120, 10, 8):
+        for t in pruned_stream():
             process_transaction(state, t)
         kinds = {event[0] for event in state.table.trace}
         assert {"hit-subtree", "descend", "skip-subtree", "skip-right-siblings"} <= kinds
@@ -183,13 +206,7 @@ class TestUpdateTrace:
         assert sum(s.visits for s in state.steps) == 3_526
 
     def test_deep_descents_match_flat_and_are_pinned(self):
-        # a 12-item alphabet with long baskets nests thousands of closed
-        # sets, so nearly every intersection descends several levels
-        rng = random.Random(1200)
-        stream = [
-            Transaction(tuple(sorted(rng.sample(range(12), rng.randint(5, 10)))), i)
-            for i in range(1, 101)
-        ]
+        stream = deep_stream()
         flat = StreamState(k=5000, epsilon=0.03, backend="flat")
         tree = StreamState(k=5000, epsilon=0.03, backend="wtree")
         tree.table.trace = []
@@ -206,6 +223,16 @@ class TestUpdateTrace:
         assert sum(s.visits for s in tree.steps) == 79_124
         assert len(tree.table) == 2_442
         assert tree.delta == 3
+
+    def test_walk_visits_each_node_once(self):
+        # the pinned sums show the bare replay is the one process_transaction makes
+        pruned = replay_checking_visits(pruned_stream(), 40, 0.05)
+        assert [sum(work) for work in zip(*pruned)] == [3_526, 3_393]
+        deep = replay_checking_visits(deep_stream(), 5000, 0.03)
+        assert [sum(work) for work in zip(*deep)] == [79_124, 68_991]
+        for _, stream in random_streams(150, base_seed=5_000):
+            for k, eps in GRID:
+                replay_checking_visits(stream, k, eps)
 
 
 class TestDeleteMinima:
