@@ -42,7 +42,7 @@ from .oracle import (
 )
 from .synth import burst_stream, random_stream
 from .table import EntryTable
-from .wtree import WeepingTree, WNode
+from .wtree import WeepingTree
 
 __version__ = "0.1.0"
 
@@ -57,7 +57,6 @@ __all__ = [
     "TimestampGap",
     "Transaction",
     "UniverseTooLarge",
-    "WNode",
     "WeepingTree",
     "burst_stream",
     "compress_two_step",

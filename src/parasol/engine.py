@@ -1,6 +1,6 @@
-"""The flat mining loop: incremental intersection plus min-entry eviction.
+"""The mining loop: update the entry store, then evict minimum entries.
 
-Each arriving transaction is intersected with every stored itemset; the
+Each arriving transaction is intersected with the stored itemsets; the
 resulting candidates replace or extend the table, then one deletion rule
 trims it: evict the minimum entry while the table holds more than k
 entries or that entry's count is at most epsilon * i. Deleting a minimum
@@ -8,22 +8,27 @@ entry folds its count into the running maximum error delta, so every
 surviving entry keeps the bracket count - err <= support <= count, and
 the table stays a delta-covered summary of the frequent itemsets.
 
+The stores do the work: `EntryTable.update` sweeps every stored itemset
+and `WeepingTree.update` walks the tree; both return (visits,
+intersections) and evict through `delete_minima` with the same rule.
+`intersect_step`, `rc_delete` and `parasol_delete` are the flat store's
+steps under the names the benchmark's tracer wraps.
+
 Size-only eviction (RC) is the same rule with epsilon = 0: every stored
 count is at least 1, so only the size bound can fire. With epsilon > 0
 the rule keeps delta below epsilon * i whenever the size budget never
 binds; after a burst forces size-driven evictions, the error ratio
-delta/i decays back toward epsilon on its own as i grows. Both backends
-evict through the same rule.
+delta/i decays back toward epsilon on its own as i grows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
-from .itemsets import Entry, Items, Transaction
-from .table import EntryTable
+from .itemsets import Entry, Transaction
+from .table import EntryTable, Store
 from .wtree import WeepingTree
 
 
@@ -57,23 +62,22 @@ class StreamState:
     k: float = math.inf
     epsilon: float = 0.0
     backend: str = "flat"
-    i: int = 0
-    delta: int = 0
-    table: Union[EntryTable, WeepingTree] = None  # type: ignore[assignment]
-    steps: list[StepStats] = field(default_factory=list)
+    i: int = field(default=0, init=False)
+    delta: int = field(default=0, init=False)
+    table: Store = field(init=False)
+    steps: list[StepStats] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         if self.k != math.inf and (self.k < 1 or int(self.k) != self.k):
             raise ValueError("k must be a positive integer or math.inf")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError("epsilon must lie in [0, 1)")
-        if self.table is None:
-            if self.backend == "flat":
-                self.table = EntryTable()
-            elif self.backend == "wtree":
-                self.table = WeepingTree()
-            else:
-                raise ValueError(f"unknown backend {self.backend!r}")
+        if self.backend == "flat":
+            self.table = EntryTable()
+        elif self.backend == "wtree":
+            self.table = WeepingTree()
+        else:
+            raise ValueError(f"unknown backend {self.backend!r}")
 
     def snapshot(self) -> list[Entry]:
         return self.table.snapshot()
@@ -95,50 +99,12 @@ class QueryResult:
 
 
 def intersect_step(table: EntryTable, t: Transaction, delta_prev: int) -> tuple[int, int]:
-    """Fold one transaction in; returns (visits, intersections) as the tree does.
+    """`table.update` for one transaction; returns (visits, intersections).
 
-    If the transaction's itemset is new it is inserted first with estimate
-    (delta_prev, delta_prev) so it takes part in the intersection sweep;
-    its count therefore ends at delta_prev + 1. Every stored itemset with
-    a non-empty overlap contributes a candidate (overlap, count + 1, err);
-    colliding candidates keep the maximum count, breaking count ties
-    toward the smaller err. Candidates then replace or extend the table,
-    except that an entry predating this step keeps its own err when its
-    count rises by exactly one. The result has at most 2 * len + 1
-    entries; no eviction happens here. The sweep visits and intersects
-    every entry once, so both numbers are the table's size after the
-    fresh insert.
+    A function of its own because the benchmark's tracer
+    (`perfbench/tracing.py`) times the flat update by wrapping this name.
     """
-    items = t.items
-    if items not in table:
-        table.insert(items, delta_prev, delta_prev, birth=t.timestamp, own=True)
-        fresh = True
-    else:
-        fresh = False
-
-    swept = len(table)
-    tset = set(items)
-    buf: dict[Items, tuple[int, int]] = {}
-    for alpha, rec in table.records():
-        beta = tuple(x for x in alpha if x in tset)
-        if not beta:
-            continue
-        cand = (rec[0] + 1, rec[1])
-        prev = buf.get(beta)
-        if prev is None or cand[0] > prev[0] or (cand[0] == prev[0] and cand[1] < prev[1]):
-            buf[beta] = cand
-
-    for beta, (count, err) in buf.items():
-        old = table.get(beta)
-        if old is None:
-            table.insert(beta, count, err, birth=t.timestamp, own=(beta == items))
-        elif beta == items and fresh:
-            table.set_count(beta, count, err)
-        elif count == old.count + 1:
-            table.set_count(beta, count, old.err)
-        else:
-            table.set_count(beta, count, err)
-    return swept, swept
+    return table.update(t.items, delta_prev, t.timestamp)
 
 
 def eviction_rule(k: float, epsilon: float, i: int) -> Callable[[int, int], bool]:

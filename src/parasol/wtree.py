@@ -25,12 +25,15 @@ shortcuts:
   within the final error budget of its parent's, as a cheap prelude to
   full pairwise compaction.
 
-A tree built by `update` (and trimmed by `delete_minima`) is
-behaviourally identical to the flat loop in `engine`: after any prefix
-of the stream both hold the same entries and the same error.
-Nodes never materialize their conceptual transaction-subset address
-(that would cost O(n) bits each); ancestry and sibling order carry the
-same information.
+A node is the flat store's `Record` with parent and child links added,
+and the tree keeps its nodes in the same `Store` index the flat table
+uses, so size, membership, lookup and snapshot are one implementation
+for both backends; only the update walk and eviction differ. A tree
+built by `update` (and trimmed by `delete_minima`) is behaviourally
+identical to `EntryTable`: after any prefix of the stream both hold the
+same entries and the same error. Nodes never materialize their
+conceptual transaction-subset address (that would cost O(n) bits each);
+ancestry and sibling order carry the same information.
 """
 
 from __future__ import annotations
@@ -39,49 +42,33 @@ import heapq
 from typing import Callable, Iterator
 
 from .itemsets import Entry, Items, require_canonical
+from .table import Record, Store
 
 
-class WNode:
-    __slots__ = ("alpha", "count", "err", "birth", "own", "parent", "children")
+class WNode(Record):
+    """A stored entry's record, plus its itemset and its place in the tree."""
+
+    __slots__ = ("alpha", "parent", "children")
 
     def __init__(
         self, alpha: Items, count: int, err: int, birth: int, own: bool
     ) -> None:
+        Record.__init__(self, count, err, birth, own)
         self.alpha = alpha
-        self.count = count
-        self.err = err
-        self.birth = birth
-        self.own = 0 if own else 1  # transaction-born entries evict first among ties
         self.parent: WNode | None = None
         self.children: list[WNode] = []
 
-    def entry(self) -> Entry:
-        return Entry(self.alpha, self.count, self.err)
 
-    def _evict_key(self) -> tuple[int, int, int, Items]:
-        return (self.count, self.birth, self.own, self.alpha)
-
-
-class WeepingTree:
+class WeepingTree(Store):
     """Tree-indexed entry table; one writer, snapshots for readers."""
 
-    __slots__ = ("root", "_index", "trace")
+    __slots__ = ("root", "trace")
 
     def __init__(self) -> None:
+        super().__init__()
         self.root = WNode((), 0, 0, 0, own=False)
-        self._index: dict[Items, WNode] = {}
         # optional event sink for instrumented traces: list of tuples
         self.trace: list[tuple] | None = None
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __contains__(self, alpha: Items) -> bool:
-        return alpha in self._index
-
-    def get(self, alpha: Items) -> Entry | None:
-        node = self._index.get(alpha)
-        return None if node is None else node.entry()
 
     def nodes(self) -> Iterator[WNode]:
         """All nodes, depth-first left-to-right."""
@@ -90,11 +77,6 @@ class WeepingTree:
             node = stack.pop()
             yield node
             stack.extend(reversed(node.children))
-
-    def snapshot(self) -> list[Entry]:
-        """Immutable entries in canonical (birth, own-first, itemset) order."""
-        rows = sorted(self.nodes(), key=lambda n: (n.birth, n.own, n.alpha))
-        return [n.entry() for n in rows]
 
     # -- update ---------------------------------------------------------
 
@@ -213,21 +195,19 @@ class WeepingTree:
         order keeps right siblings' itemsets out of every mask's subset
         range, which is what keeps the successor skip sound. Returns the
         new maximum error.
+
+        No heap key goes stale: a node enters the heap once, as a child of
+        the root at the start or when its only parent is removed, and no
+        count changes during the call.
         """
         root = self.root
         delta = delta_prev
-        heap = [(c._evict_key(), c) for c in root.children]
+        heap = [((c.count, c.birth, c.own, c.alpha), c) for c in root.children]
         heapq.heapify(heap)
         dead: set[int] = set()
         size = len(self._index)
-        while heap:
-            key, node = heap[0]
-            if node.parent is not root or node.count != key[0]:
-                heapq.heappop(heap)  # already removed this round
-                continue
-            if not should_delete(node.count, size):
-                break
-            heapq.heappop(heap)
+        while heap and should_delete(heap[0][1].count, size):
+            _, node = heapq.heappop(heap)
             delta = max(delta, node.count)
             del self._index[node.alpha]
             node.parent = None
@@ -235,7 +215,7 @@ class WeepingTree:
             size -= 1
             for child in node.children:  # children kept for the splice below
                 child.parent = root
-                heapq.heappush(heap, (child._evict_key(), child))
+                heapq.heappush(heap, ((child.count, child.birth, child.own, child.alpha), child))
         if dead:
             frontier: list[WNode] = []
             stack = list(reversed(root.children))
@@ -277,7 +257,7 @@ class WeepingTree:
             if parent is self.root:
                 continue
             if node.count <= parent.count - parent.err + delta_n:
-                removed.append(node.entry())
+                removed.append(Entry(node.alpha, node.count, node.err))
                 parent.err += node.count - parent.count
                 parent.count = node.count
                 del self._index[node.alpha]

@@ -11,6 +11,7 @@ from parasol import (
     parasol_delete,
     process_transaction,
     query,
+    random_stream,
     rc_delete,
     replay,
 )
@@ -74,8 +75,8 @@ class TestIntersectStep:
         for _, stream in random_streams(30, base_seed=321):
             base = replay(stream, k=4).table
             rows = [
-                (alpha, rec[0], rec[1], rec[2], rec[3] == 0)
-                for alpha, rec in base.records()
+                (alpha, rec.count, rec.err, rec.birth, rec.own == 0)
+                for alpha, rec in base._index.items()
             ]
             nxt = Transaction(stream[rng.randrange(len(stream))].items, 99)
             nxt = Transaction(nxt.items, len(stream) + 1)
@@ -145,6 +146,16 @@ class TestDeletion:
         _, delta = parasol_delete(t, 5, 0.0, 9, 0)
         assert len(t) == 2 and delta == 0  # counts >= 1 > 0
 
+    def test_flat_key_heap_stays_bounded(self):
+        # stale keys are compacted away once the heap outgrows 4 * len + 64,
+        # and an update leaves at most 2k + 1 entries, so the heap is O(k)
+        # however long the stream runs
+        k = 50
+        state = StreamState(k=k)
+        for t in random_stream(random.Random(5), 3000, 10, 6):
+            process_transaction(state, t)
+            assert len(state.table._heap) <= 4 * (2 * k + 1) + 64
+
     def test_min_extraction_prefers_oldest(self):
         t = table_of(
             [
@@ -153,17 +164,21 @@ class TestDeletion:
                 ((9,), 1, 0, 2, False),
             ]
         )
-        assert t.pop_min()[0] == (8,)
-        assert t.pop_min()[0] == (9,)
+        rc_delete(t, 2, 0)
+        assert [e.alpha for e in t.snapshot()] == [(9,), (7,)]
+        rc_delete(t, 1, 0)
+        assert [e.alpha for e in t.snapshot()] == [(7,)]
 
     def test_min_extraction_prefers_transaction_entry_within_step(self):
         t = table_of(
             [
-                ((1, 9), 3, 0, 4, False),
+                ((1, 2), 3, 0, 4, False),
                 ((1, 2, 3), 3, 2, 4, True),
             ]
         )
-        assert t.pop_min()[0] == (1, 2, 3)
+        # (1, 2) sorts first, so only the own-first bit picks (1, 2, 3)
+        _, delta = rc_delete(t, 1, 0)
+        assert [e.alpha for e in t.snapshot()] == [(1, 2)] and delta == 3
 
 
 class TestProcessTransaction:
@@ -284,3 +299,7 @@ class TestWorkAccounting:
         with pytest.raises(ValueError):
             StreamState(epsilon=1.0)
         assert StreamState(k=math.inf).k == math.inf
+        # a state starts empty; i, delta, table and steps only advance
+        for name in ("i", "delta", "table", "steps"):
+            with pytest.raises(TypeError):
+                StreamState(**{name: 5})
