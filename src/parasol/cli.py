@@ -63,6 +63,7 @@ def run(args: argparse.Namespace) -> int:
         return EXIT_IO
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
+    k_n = len(state.table)  # read before two-step compression absorbs tree entries
     if args.compress == "two-step":
         final_entries = compress_mod.compress_two_step(state.table, state.delta)
     elif args.compress == "flat":
@@ -90,7 +91,7 @@ def run(args: argparse.Namespace) -> int:
             json.dumps(
                 {
                     "n": n,
-                    "k_n": len(state.table),
+                    "k_n": k_n,
                     "delta": state.delta,
                     "ratio": ratio,
                     "time_ms": round(elapsed_ms, 3),
@@ -105,7 +106,7 @@ def run(args: argparse.Namespace) -> int:
         )
     else:
         print(
-            f"n={n} k(n)={len(state.table)} delta={state.delta} "
+            f"n={n} k(n)={k_n} delta={state.delta} "
             f"ratio={ratio:g} time_ms={elapsed_ms:.3f}"
         )
     return EXIT_OK

@@ -1,15 +1,16 @@
-"""Entry storage: one record index shared by both backends, and the flat store.
+"""Entry storage: one record index and one eviction loop for both backends.
 
 Every stored itemset maps to a `Record` (count, err, birth, own) where
 birth is the timestamp the entry was (re)created and own marks entries
-born as the arriving transaction's own itemset. `Store` owns that index
-and answers every read (size, membership, lookup, snapshot) for both
-backends; `EntryTable` adds the flat update sweep and a lazy min-heap for
-eviction, and the weeping tree adds its spanning-tree links to the same
-records. Eviction order is (count, birth, own-first, itemset), i.e.
-lowest count first and oldest first among ties; the own-first bit
-reproduces the fact that a transaction's fresh entry is inserted before
-the candidates it spawns. Both backends evict in this order.
+born as the arriving transaction's own itemset. `Store` owns that index,
+answers every read (size, membership, lookup, snapshot) and pops minima
+in one eviction loop for both backends; `EntryTable` adds the flat
+update sweep and keeps its min-heap lazily across calls, and the weeping
+tree adds spanning-tree links to the same records and rebuilds the heap
+from the root's children at each call. Eviction order is (count, birth,
+own-first, itemset): lowest count first and oldest first among ties;
+the own-first bit reproduces the fact that a transaction's fresh entry
+is inserted before the candidates it spawns.
 """
 
 from __future__ import annotations
@@ -33,16 +34,19 @@ class Record:
 
 
 class Store:
-    """The read side of an entry store: an index from itemset to record.
+    """An index from itemset to record, its reads, and its eviction loop.
 
     Subclasses write through `update(items, delta_prev, timestamp)` and
-    `delete_minima(should_delete, delta_prev)`, with the same contracts.
+    fill `_heap` with (count, birth, own, itemset) keys. Only the flat
+    store's heap holds stale keys (of records since changed or gone);
+    the tree's is rebuilt at each call, so the stale checks never fire.
     """
 
-    __slots__ = ("_index",)
+    __slots__ = ("_index", "_heap")
 
     def __init__(self) -> None:
         self._index: dict[Items, Record] = {}
+        self._heap: list[tuple[int, int, int, Items]] = []
 
     def __len__(self) -> int:
         return len(self._index)
@@ -59,17 +63,41 @@ class Store:
         rows = sorted(self._index.items(), key=lambda kv: (kv[1].birth, kv[1].own, kv[0]))
         return [Entry(alpha, rec.count, rec.err) for alpha, rec in rows]
 
+    def delete_minima(
+        self, should_delete: Callable[[int, int], bool], delta_prev: int
+    ) -> int:
+        """Pop minimum entries while should_delete(min_count, size) holds.
+
+        Returns the new maximum error: the largest of delta_prev and the
+        evicted counts.
+        """
+        index, heap = self._index, self._heap
+        delta = delta_prev
+        while heap:
+            count, birth, _, alpha = heap[0]
+            rec = index.get(alpha)
+            if rec is None or rec.count != count or rec.birth != birth:
+                heapq.heappop(heap)  # stale: replaced, evicted, or reborn
+                continue
+            if not should_delete(count, len(index)):
+                break
+            heapq.heappop(heap)
+            del index[alpha]
+            delta = max(delta, count)
+            self._evicted(rec)
+        return delta
+
+    def _evicted(self, rec: Record) -> None:
+        """Called after rec leaves the index; the flat store keeps nothing else."""
+
 
 class EntryTable(Store):
-    """Bounded collection of entries keyed uniquely by itemset."""
+    """Bounded collection of entries keyed uniquely by itemset.
 
-    __slots__ = ("_heap",)
+    Every record change pushes a key, and the heap outlives each call.
+    """
 
-    def __init__(self) -> None:
-        super().__init__()
-        # (count, birth, own, itemset) of every record change; keys whose
-        # record has since changed or gone are skipped when they surface
-        self._heap: list[tuple[int, int, int, Items]] = []
+    __slots__ = ()
 
     def insert(self, alpha: Items, count: int, err: int, birth: int, own: bool) -> None:
         require_canonical(alpha)
@@ -124,26 +152,3 @@ class EntryTable(Store):
                 heap = self._heap = [(r.count, r.birth, r.own, a) for a, r in index.items()]
                 heapq.heapify(heap)
         return swept, swept
-
-    def delete_minima(
-        self, should_delete: Callable[[int, int], bool], delta_prev: int
-    ) -> int:
-        """Pop minimum entries while should_delete(min_count, size) holds.
-
-        Returns the new maximum error: the largest of delta_prev and the
-        evicted counts.
-        """
-        index, heap = self._index, self._heap
-        delta = delta_prev
-        while heap:
-            count, birth, _, alpha = heap[0]
-            rec = index.get(alpha)
-            if rec is None or rec.count != count or rec.birth != birth:
-                heapq.heappop(heap)  # stale: replaced, evicted, or reborn
-                continue
-            if not should_delete(count, len(index)):
-                break
-            heapq.heappop(heap)
-            del index[alpha]
-            delta = max(delta, count)
-        return delta

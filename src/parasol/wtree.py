@@ -19,8 +19,9 @@ shortcuts:
   it stamps nothing on the nodes it visits, and it resolves a descent
   into a leaf and a hit on a leaf in place, without a frame or a
   subtree pass;
-* eviction pops minima from a heap over the root's children and
-  reattaches their children to the root;
+* eviction runs the shared `Store` pop loop over a heap of the root's
+  children, rebuilt at each call, and reattaches each removed node's
+  children to the root;
 * a single bottom-up pass can absorb every child whose estimate is
   within the final error budget of its parent's, as a cheap prelude to
   full pairwise compaction.
@@ -189,45 +190,38 @@ class WeepingTree(Store):
     ) -> int:
         """Pop minimum entries while should_delete(min_count, size) holds.
 
-        Minima always sit in the shallowest layer, so a heap over the
-        root's children finds them. A removed node's children reattach
-        to the root in its place; taking over its slot of the sibling
-        order keeps right siblings' itemsets out of every mask's subset
-        range, which is what keeps the successor skip sound. Returns the
-        new maximum error.
-
-        No heap key goes stale: a node enters the heap once, as a child of
-        the root at the start or when its only parent is removed, and no
-        count changes during the call.
+        Minima always sit in the shallowest layer, so the shared `Store`
+        loop runs over a heap rebuilt from the root's children. A removed
+        node's children reattach to the root, join the heap, and after
+        the loop take over its slot of the sibling order: that keeps right
+        siblings' itemsets out of every mask's subset range, which is what
+        keeps the successor skip sound. The heap holds no stale key, so
+        the loop's stale checks never fire here: a node enters it once
+        and no count changes during the call. Returns the new max error.
         """
         root = self.root
-        delta = delta_prev
-        heap = [((c.count, c.birth, c.own, c.alpha), c) for c in root.children]
-        heapq.heapify(heap)
-        dead: set[int] = set()
+        self._heap = [(c.count, c.birth, c.own, c.alpha) for c in root.children]
+        heapq.heapify(self._heap)
         size = len(self._index)
-        while heap and should_delete(heap[0][1].count, size):
-            _, node = heapq.heappop(heap)
-            delta = max(delta, node.count)
-            del self._index[node.alpha]
-            node.parent = None
-            dead.add(id(node))
-            size -= 1
-            for child in node.children:  # children kept for the splice below
-                child.parent = root
-                heapq.heappush(heap, ((child.count, child.birth, child.own, child.alpha), child))
-        if dead:
+        delta = super().delete_minima(should_delete, delta_prev)
+        if len(self._index) < size:  # splice each removed node's children into its slot
             frontier: list[WNode] = []
             stack = list(reversed(root.children))
             while stack:
                 node = stack.pop()
-                if id(node) in dead:
+                if node.parent is None:  # removed by _evicted
                     stack.extend(reversed(node.children))
                     node.children = []
                 else:
                     frontier.append(node)
             root.children = frontier
         return delta
+
+    def _evicted(self, node: WNode) -> None:
+        node.parent = None
+        for child in node.children:  # children kept for the splice
+            child.parent = self.root
+            heapq.heappush(self._heap, (child.count, child.birth, child.own, child.alpha))
 
     # -- compaction prelude ---------------------------------------------
 

@@ -5,7 +5,7 @@ import pytest
 from parasol import Transaction, write_fimi
 from parasol.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 
-from helpers import DROP_ONE_PLUS
+from helpers import DROP_ONE, DROP_ONE_PLUS
 
 
 @pytest.fixture
@@ -82,6 +82,30 @@ def test_backends_and_compression_agree_on_results(drop_one_file, tmp_path):
     assert outs[0] == outs[1]  # same compression path, both backends
     for text in outs:
         assert text.splitlines()  # never empty here
+
+
+def test_k_n_is_the_mined_size_whatever_the_compression(tmp_path, capsys):
+    # two-step compression absorbs entries into the tree itself; k(n) is
+    # the size mining left, read before any compression runs
+    path = tmp_path / "drop_one.dat"
+    with open(path, "w") as fh:
+        write_fimi(DROP_ONE, fh)
+    sizes = {}
+    for comp in ("off", "flat", "two-step"):
+        code = run_cli(
+            [
+                "--input", str(path),
+                "--mode", "parasol",
+                "--epsilon", "0.25",
+                "--k", "15",
+                "--backend", "wtree",
+                "--compress", comp,
+                "--summary-json",
+            ]
+        )
+        assert code == EXIT_OK
+        sizes[comp] = json.loads(capsys.readouterr().out)["k_n"]
+    assert sizes == {"off": 11, "flat": 11, "two-step": 11}
 
 
 def test_summary_json(drop_one_file, capsys):

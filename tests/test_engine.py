@@ -146,12 +146,14 @@ class TestDeletion:
         _, delta = parasol_delete(t, 5, 0.0, 9, 0)
         assert len(t) == 2 and delta == 0  # counts >= 1 > 0
 
-    def test_flat_key_heap_stays_bounded(self):
-        # stale keys are compacted away once the heap outgrows 4 * len + 64,
-        # and an update leaves at most 2k + 1 entries, so the heap is O(k)
+    @pytest.mark.parametrize("backend", ["flat", "wtree"])
+    def test_flat_key_heap_stays_bounded(self, backend):
+        # stale flat keys are compacted away once the heap outgrows
+        # 4 * len + 64, the tree's heap holds only root children, and an
+        # update leaves at most 2k + 1 entries, so either heap is O(k)
         # however long the stream runs
         k = 50
-        state = StreamState(k=k)
+        state = StreamState(k=k, backend=backend)
         for t in random_stream(random.Random(5), 3000, 10, 6):
             process_transaction(state, t)
             assert len(state.table._heap) <= 4 * (2 * k + 1) + 64

@@ -26,6 +26,21 @@ def test_backends_agree_stepwise():
                 assert flat.snapshot() == tree.snapshot(), (sid, k, eps, t.timestamp)
 
 
+def test_backends_agree_stepwise_on_long_streams():
+    # 300 transactions under a binding budget: the flat heap compacts
+    # and thousands of entries are evicted for size along the way
+    for seed in range(4):
+        stream = random_stream(random.Random(seed), 300, 9, 6)
+        for k, eps in ((3, 0.0), (20, 0.1), (8, 0.05)):
+            flat = StreamState(k=k, epsilon=eps, backend="flat")
+            tree = StreamState(k=k, epsilon=eps, backend="wtree")
+            for t in stream:
+                process_transaction(flat, t)
+                process_transaction(tree, t)
+                assert flat.delta == tree.delta, (seed, k, eps, t.timestamp)
+                assert flat.snapshot() == tree.snapshot(), (seed, k, eps, t.timestamp)
+
+
 def test_backends_agree_on_dense_duplicate_streams():
     rng = random.Random(1234)
     for case in range(60):
