@@ -73,10 +73,10 @@ def run(args: argparse.Namespace) -> int:
     result = engine.answer(final_entries, args.sigma, state.i, state.delta)
 
     try:
-        if args.out:
+        if args.out is not None:  # an empty path fails to open like any bad path
             with open(args.out, "w", encoding="utf-8") as fh:
                 fimi.write_result(result.entries, fh)
-        if args.metrics:
+        if args.metrics is not None:
             with open(args.metrics, "w", encoding="utf-8") as fh:
                 samples = ((s.i, s.post_size, s.delta) for s in state.steps)
                 fimi.write_metrics(samples, fh, stride=args.stride)

@@ -15,7 +15,11 @@ shortcuts:
   itself and are always on. Because a node's itemset lies inside each
   ancestor's, narrowing a child by the mask equals narrowing it by the
   whole transaction, so an update tests membership in one set of the
-  transaction's items at every depth. The walk keeps no per-node state:
+  transaction's items at every depth. An overlap is
+  `tuple(filter(inside, alpha))`, where `inside` is that set's
+  `__contains__`: the filter keeps the node's item order, so the overlap
+  is canonical, and it tests membership rather than truth, so item 0
+  stays in. The walk keeps no per-node state:
   it stamps nothing on the nodes it visits, and it resolves a descent
   into a leaf and a hit on a leaf in place, without a frame or a
   subtree pass;
@@ -92,10 +96,14 @@ class WeepingTree(Store):
         transaction, the root contributes the pair (delta_prev,
         delta_prev) so the fresh entry ends at count delta_prev + 1.
 
-        Every overlap is taken against one set of the transaction's items.
-        That is exact because a node's itemset lies inside each ancestor's:
-        a frame's mask is its node's overlap with the transaction, so for
-        any child y, y & mask == y & node & items == y & items.
+        Every overlap is taken against one set of the transaction's items,
+        as `tuple(filter(inside, y.alpha))` with `inside` bound once to
+        the set's `__contains__`. That is exact because a node's itemset
+        lies inside each ancestor's: a frame's mask is its node's overlap
+        with the transaction, so for any child y, y & mask == y & node &
+        items == y & items. The filter keeps y.alpha's sorted order and
+        drops an item only when it is not in the set (item 0 included),
+        so the overlap is the canonical tuple of y & items.
 
         Each node is visited at most once and nothing is stamped on it.
         A descent into a leaf resolves the leaf's overlap at once (find
@@ -109,7 +117,7 @@ class WeepingTree(Store):
         visits = 0
         intersections = 0
         trace = self.trace
-        tset = set(items)
+        inside = set(items).__contains__
 
         # a frame is [node, mask, index of the next child, stop]; the mask
         # is the itemset the frame narrows toward, and stop is set once the
@@ -123,7 +131,7 @@ class WeepingTree(Store):
                 f[2] = ci + 1
                 visits += 1
                 intersections += 1
-                overlap = tuple(x for x in y.alpha if x in tset)
+                overlap = tuple(filter(inside, y.alpha))
                 if len(overlap) == len(mask):
                     f[3] = True
                 if len(overlap) == len(y.alpha):

@@ -195,3 +195,10 @@ def test_io_error_exit(tmp_path, capsys):
     missing = tmp_path / "nope.dat"
     assert run_cli(["--input", str(missing), "--mode", "exact"]) == EXIT_IO
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--metrics"])
+def test_empty_output_path_is_an_io_error(drop_one_file, flag, capsys):
+    # an empty path names no file: it must fail to open, not write nothing
+    assert run_cli(["--input", drop_one_file, "--mode", "exact", flag, ""]) == EXIT_IO
+    assert "error:" in capsys.readouterr().err

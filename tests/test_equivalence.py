@@ -8,7 +8,7 @@ after every step, for any stream and any eviction configuration.
 import math
 import random
 
-from parasol import StreamState, process_transaction, random_stream
+from parasol import StreamState, Transaction, process_transaction, random_stream
 
 from helpers import GRID, check_tree_shape, random_streams
 
@@ -26,19 +26,29 @@ def test_backends_agree_stepwise():
                 assert flat.snapshot() == tree.snapshot(), (sid, k, eps, t.timestamp)
 
 
+# an order-keeping map of the ids 1-9 onto sparse ids: 0, a byte
+# boundary, and ids past 2**31 must go through both stores like 1-9
+SPARSE_IDS = dict(zip(range(1, 10), (0, 1, 255, 256, 257, 65_537, 2**31, 2**31 + 1, 2**40)))
+
+
 def test_backends_agree_stepwise_on_long_streams():
     # 300 transactions under a binding budget: the flat heap compacts
     # and thousands of entries are evicted for size along the way
     for seed in range(4):
-        stream = random_stream(random.Random(seed), 300, 9, 6)
-        for k, eps in ((3, 0.0), (20, 0.1), (8, 0.05)):
-            flat = StreamState(k=k, epsilon=eps, backend="flat")
-            tree = StreamState(k=k, epsilon=eps, backend="wtree")
-            for t in stream:
-                process_transaction(flat, t)
-                process_transaction(tree, t)
-                assert flat.delta == tree.delta, (seed, k, eps, t.timestamp)
-                assert flat.snapshot() == tree.snapshot(), (seed, k, eps, t.timestamp)
+        low_ids = random_stream(random.Random(seed), 300, 9, 6)
+        sparse_ids = [
+            Transaction(tuple(SPARSE_IDS[x] for x in t.items), t.timestamp) for t in low_ids
+        ]
+        for stream in (low_ids, sparse_ids):
+            for k, eps in ((3, 0.0), (20, 0.1), (8, 0.05)):
+                flat = StreamState(k=k, epsilon=eps, backend="flat")
+                tree = StreamState(k=k, epsilon=eps, backend="wtree")
+                for t in stream:
+                    process_transaction(flat, t)
+                    process_transaction(tree, t)
+                    check_tree_shape(tree.table)
+                    assert flat.delta == tree.delta, (seed, k, eps, t)
+                    assert flat.snapshot() == tree.snapshot(), (seed, k, eps, t)
 
 
 def test_backends_agree_on_dense_duplicate_streams():
