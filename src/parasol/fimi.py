@@ -7,11 +7,19 @@ yielded as they are read, with timestamps assigned 1..n in file order.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
 from .itemsets import Entry, Transaction, itemset
+
+
+# A character no line may hold: non-ASCII, or one of the ASCII controls
+# \x1c-\x1f that str.split() splits on but ASCII whitespace excludes. The search
+# allocates nothing on a clean line; splitting line.encode("ascii") instead
+# measured about 4% slower dense-workload steps (2-vCPU Xeon VM, CPython 3.11).
+_STRAY_CHAR = re.compile(r"[^\x00-\x1b\x20-\x7f]").search
 
 
 class ParseError(ValueError):
@@ -34,22 +42,27 @@ def parse_fimi(
 ) -> Iterator[Transaction]:
     """Yield transactions from lines of text.
 
-    Items on a line are deduplicated and sorted; blank lines are skipped
-    (counted in stats.skipped); any token that is not a run of ASCII
-    digits, or that has more digits than int() converts (4,300 by
-    default), aborts with a ParseError carrying the line number.
+    Items on a line are separated by ASCII whitespace (space, tab,
+    vertical tab, form feed, carriage return) and are deduplicated and
+    sorted; blank lines are skipped (counted in stats.skipped). A
+    non-ASCII character anywhere on a line, any token that is not a run
+    of ASCII digits, or one that has more digits than int() converts
+    (4,300 by default), aborts with a ParseError carrying the line number.
     """
     counters = stats if stats is not None else ParseStats()
     timestamp = 0
     for lineno, line in enumerate(source, start=1):
         counters.lines = lineno
-        tokens = line.split()
+        stray = _STRAY_CHAR(line)
+        if stray:
+            raise ParseError(lineno, f"stray character {stray.group()!r}")
+        tokens = line.split()  # the line is ASCII without \x1c-\x1f: splits as bytes would
         if not tokens:
             counters.skipped += 1
             continue
         digits = "".join(tokens)
-        if not (digits.isascii() and digits.isdigit()):
-            bad = next(tok for tok in tokens if not (tok.isascii() and tok.isdigit()))
+        if not digits.isdigit():
+            bad = next(tok for tok in tokens if not tok.isdigit())
             raise ParseError(lineno, f"not a non-negative integer item: {bad!r}")
         try:
             items = itemset(map(int, tokens))

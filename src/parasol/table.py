@@ -16,6 +16,7 @@ is inserted before the candidates it spawns.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable
 
 from .itemsets import Entry, Items, require_canonical
@@ -58,10 +59,17 @@ class Store:
         rec = self._index.get(alpha)
         return None if rec is None else Entry(alpha, rec.count, rec.err)
 
-    def snapshot(self) -> list[Entry]:
-        """Immutable entries in canonical (birth, own-first, itemset) order."""
-        rows = sorted(self._index.items(), key=lambda kv: (kv[1].birth, kv[1].own, kv[0]))
-        return [Entry(alpha, rec.count, rec.err) for alpha, rec in rows]
+    def snapshot(self, above: float = -math.inf) -> list[Entry]:
+        """Immutable entries with count > above, in canonical (birth,
+        own-first, itemset) order; by default every entry.
+
+        The read filters before it sorts: one pass over the index keeps
+        the m records that clear the threshold, and only those are sorted
+        and built into entries, so a read costs O(len + m log m).
+        """
+        rows = [(r.birth, r.own, a, r) for a, r in self._index.items() if r.count > above]
+        rows.sort()  # itemsets are unique, so the record itself is never compared
+        return [Entry(alpha, rec.count, rec.err) for _, _, alpha, rec in rows]
 
     def delete_minima(
         self, should_delete: Callable[[int, int], bool], delta_prev: int

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+import parasol.table
 from parasol import (
+    Entry,
     StreamState,
     TimestampGap,
     Transaction,
@@ -15,6 +17,7 @@ from parasol import (
     rc_delete,
     replay,
 )
+from parasol.engine import answer
 from parasol.oracle import enumerate_closed, verify_delta_covered_set
 from parasol.table import EntryTable
 
@@ -281,6 +284,43 @@ class TestQuery:
         state = StreamState()
         with pytest.raises(ValueError):
             query(state, 1.5)
+
+    @pytest.mark.parametrize("backend", ["flat", "wtree"])
+    def test_query_equals_answer_over_the_full_snapshot(self, backend):
+        # the filtered read keeps the entries, order and flag of the full one
+        on_a_count = 0
+        for seed, stream in random_streams(40, base_seed=900, max_n=30):
+            state = StreamState(k=(2, 4, math.inf)[seed % 3], epsilon=0.1, backend=backend)
+            for t in stream:
+                process_transaction(state, t)
+                i = state.i
+                # sigma * i equal to a stored count pins count > threshold, not >=
+                exact = [c / i for c in {e.count for e in state.snapshot()} if c <= i and c / i * i == c]
+                on_a_count += len(exact)
+                for sigma in [0.0, 0.3, 1.0] + exact:
+                    got = query(state, sigma)
+                    assert got == answer(state.snapshot(), sigma, i, state.delta), (seed, i, sigma)
+                    assert state.table.snapshot(sigma * i) == got.entries, (seed, i, sigma)
+        assert on_a_count > 100
+
+    @pytest.mark.parametrize("backend", ["flat", "wtree"])
+    def test_query_builds_only_the_entries_it_returns(self, backend, monkeypatch):
+        state = StreamState(k=20, epsilon=0.05, backend=backend)
+        for t in random_stream(random.Random(3), 60, 8, 5):
+            process_transaction(state, t)
+        counts = sorted({e.count for e in state.snapshot()})
+        sigma = counts[len(counts) // 2] / state.i  # the threshold is a stored count
+        assert sigma * state.i == counts[len(counts) // 2]
+        built = []
+
+        def counting_entry(*args):
+            built.append(args)
+            return Entry(*args)
+
+        monkeypatch.setattr(parasol.table, "Entry", counting_entry)
+        res = query(state, sigma)
+        assert 0 < len(res.entries) < len(state.table)
+        assert len(built) == len(res.entries)
 
 
 class TestWorkAccounting:

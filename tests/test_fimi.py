@@ -38,6 +38,16 @@ def test_non_integer_token_reports_line():
         assert err.value.lineno == 2, token
 
 
+def test_only_ascii_whitespace_separates_items():
+    # str.split() would also split on these and mine (1, 2)
+    for sep in ("\x1c", "\x1d", "\x1e", "\x1f", "\u00a0", "\u2003", "\u0085", "\u2028"):
+        with pytest.raises(ParseError) as err:
+            parse_text(f"1 2\n1{sep}2\n")
+        assert err.value.lineno == 2, repr(sep)
+    for sep in (" ", "\t", "\v", "\f", "\r"):
+        assert parse_text(f"2{sep}1\n") == [Transaction((1, 2), 1)], repr(sep)
+
+
 def test_negative_item_rejected():
     with pytest.raises(ParseError):
         parse_text("1 -4\n")
