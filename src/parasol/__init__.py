@@ -25,11 +25,8 @@ from .itemsets import (
     Entry,
     Items,
     Transaction,
-    find_representative,
     intersect,
     is_delta_covered,
-    is_delta_covered_set,
-    is_subset,
     itemset,
 )
 from .oracle import (
@@ -64,12 +61,9 @@ __all__ = [
     "enumerate_closed",
     "enumerate_delta_closed",
     "enumerate_fis",
-    "find_representative",
     "intersect",
     "intersect_step",
     "is_delta_covered",
-    "is_delta_covered_set",
-    "is_subset",
     "itemset",
     "parasol_delete",
     "parse_fimi",

@@ -1,6 +1,7 @@
 """Command-line front end: replay a transaction file, write results and metrics.
 
-Exit codes: 0 success, 1 usage error, 2 parse error, 3 I/O error.
+Exit codes: 0 success, 1 usage error, 2 parse error, 3 I/O error (a path
+that cannot be opened, one holding a NUL byte included).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import json
 import math
 import sys
 import time
+from typing import IO
 
 from . import compress as compress_mod
 from . import engine, fimi
@@ -42,6 +44,14 @@ def _check(args: argparse.Namespace) -> None:
         raise UsageError("two-step compression needs --backend wtree")
 
 
+def _open(path: str, mode: str, **kwargs: str) -> IO[str]:
+    """open() a UTF-8 text file; a path open() rejects outright is an OSError too."""
+    try:
+        return open(path, mode, encoding="utf-8", **kwargs)
+    except ValueError as exc:  # "embedded null byte"
+        raise OSError(f"{path!r}: {exc}") from None
+
+
 def run(args: argparse.Namespace) -> int:
     """Replay the stream the checked arguments name; returns a process exit code."""
     k = math.inf if args.mode == "exact" else args.k  # exact: nothing is ever evicted
@@ -52,7 +62,7 @@ def run(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     try:
         # an undecodable byte becomes a token that fails to parse on its own line
-        with open(args.input, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        with _open(args.input, "r", errors="surrogateescape") as fh:
             for t in fimi.parse_fimi(fh, stats):
                 engine.process_transaction(state, t)
     except fimi.ParseError as exc:
@@ -74,10 +84,10 @@ def run(args: argparse.Namespace) -> int:
 
     try:
         if args.out is not None:  # an empty path fails to open like any bad path
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with _open(args.out, "w") as fh:
                 fimi.write_result(result.entries, fh)
         if args.metrics is not None:
-            with open(args.metrics, "w", encoding="utf-8") as fh:
+            with _open(args.metrics, "w") as fh:
                 samples = ((s.i, s.post_size, s.delta) for s in state.steps)
                 fimi.write_metrics(samples, fh, stride=args.stride)
     except OSError as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 Items = tuple[int, ...]
 
@@ -43,13 +43,6 @@ def intersect(a: Items, b: Items) -> Items:
         a, b = b, a
     bs = set(b)
     return tuple(x for x in a if x in bs)
-
-
-def is_subset(a: Items, b: Items) -> bool:
-    """True iff every item of a occurs in b (both canonical)."""
-    if len(a) > len(b):
-        return False
-    return set(a).issubset(b)
 
 
 @dataclass(frozen=True)
@@ -91,36 +84,4 @@ def is_delta_covered(
     sub must be a subset of sup and sub's support may exceed sup's by at
     most delta. Monotone in delta.
     """
-    return sub_support <= sup_support + delta and is_subset(sub, sup)
-
-
-def is_delta_covered_set(
-    candidate: Iterable[Items],
-    target: Iterable[Items],
-    support: Callable[[Items], int],
-    delta: int,
-) -> bool:
-    """True iff every member of target is delta-covered by some member of candidate."""
-    cand = list(candidate)
-    for alpha in target:
-        s_alpha = support(alpha)
-        if not any(
-            is_delta_covered(alpha, s_alpha, beta, support(beta), delta)
-            for beta in cand
-        ):
-            return False
-    return True
-
-
-def find_representative(entries: Iterable[Entry], alpha: Items) -> Entry | None:
-    """Max-count entry whose itemset contains alpha; None when nothing does.
-
-    Ties go to the earliest entry in iteration order, so callers that want
-    determinism should pass entries in a canonical order.
-    """
-    best: Entry | None = None
-    aset = set(alpha)
-    for e in entries:
-        if aset.issubset(e.alpha) and (best is None or e.count > best.count):
-            best = e
-    return best
+    return sub_support <= sup_support + delta and set(sub).issubset(sup)

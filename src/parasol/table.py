@@ -128,6 +128,12 @@ class EntryTable(Store):
         entries; no eviction happens here. The sweep visits and intersects
         every entry once, so both numbers are the table's size after the
         fresh insert.
+
+        Each overlap is `tuple(filter(inside, alpha))`, with `inside` bound
+        once per update to the `__contains__` of a set of the transaction's
+        items. The filter keeps alpha's sorted order, so the overlap is
+        canonical, and it tests membership rather than truth, so item 0
+        stays in.
         """
         index = self._index
         fresh = items not in index
@@ -135,10 +141,10 @@ class EntryTable(Store):
             self.insert(items, delta_prev, delta_prev, timestamp, own=True)
 
         swept = len(index)
-        tset = set(items)
+        inside = set(items).__contains__
         buf: dict[Items, tuple[int, int]] = {}
         for alpha, rec in index.items():
-            beta = tuple(x for x in alpha if x in tset)
+            beta = tuple(filter(inside, alpha))
             if not beta:
                 continue
             count = rec.count + 1

@@ -12,6 +12,7 @@ Streams used repeatedly:
   cover-predicate and delta-closed examples.
 
 GRID is the (k, epsilon) grid of the stepwise backend comparison.
+`sparse` maps a stream over ids 1-9 onto SPARSE_IDS, which start at 0.
 `covers` is the address-level covering predicate the tree's address
 tests reason with.
 
@@ -50,6 +51,15 @@ CHAIN5 = tuple(
 
 
 GRID = [(k, eps) for k in (1, 2, 4, math.inf) for eps in (0.0, 0.15, 0.4)]
+
+# an order-keeping map of the ids 1-9 onto sparse ids: 0, a byte
+# boundary, and ids past 2**31 must go through both stores like 1-9
+SPARSE_IDS = dict(zip(range(1, 10), (0, 1, 255, 256, 257, 65_537, 2**31, 2**31 + 1, 2**40)))
+
+
+def sparse(stream) -> list[Transaction]:
+    """The stream with each item id (1-9) mapped through SPARSE_IDS."""
+    return [Transaction(tuple(SPARSE_IDS[x] for x in t.items), t.timestamp) for t in stream]
 
 
 def as_dict(entries) -> dict[tuple[int, ...], tuple[int, int]]:

@@ -1,9 +1,21 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from parasol import Transaction, write_fimi
-from parasol.cli import EXIT_IO, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
+from parasol.cli import (
+    BACKENDS,
+    COMPRESS,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_USAGE,
+    MODES,
+    build_parser,
+    main,
+)
 
 from helpers import DROP_ONE, DROP_ONE_PLUS
 
@@ -202,3 +214,67 @@ def test_empty_output_path_is_an_io_error(drop_one_file, flag, capsys):
     # an empty path names no file: it must fail to open, not write nothing
     assert run_cli(["--input", drop_one_file, "--mode", "exact", flag, ""]) == EXIT_IO
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--input", "--out", "--metrics"])
+def test_path_with_nul_is_an_io_error(drop_one_file, flag, capsys):
+    # open() rejects a NUL byte with ValueError, not OSError; only an
+    # in-process caller can pass one, but it is still a bad path. The
+    # last --input wins, so for that flag the NUL path replaces the file
+    assert run_cli(["--input", drop_one_file, "--mode", "exact", flag, "a\x00b"]) == EXIT_IO
+    assert "error:" in capsys.readouterr().err
+
+
+# every flag the parser defines except --help, which ends in argparse's SystemExit(0)
+FLAGS = [a.option_strings[-1] for a in build_parser()._actions if a.dest != "help"]
+PATH_FLAGS = ("--input", "--out", "--metrics")
+INPUT = "input.dat"
+# no path separator anywhere: run from tmp_path, a path names a file in it
+TEXT = st.text(st.characters(blacklist_characters="/"), max_size=8)
+NAMES = st.one_of(st.sampled_from([INPUT, "out.tsv", "", "in\x00put.dat"]), TEXT)
+# a valid value for each flag that takes one, beside arbitrary text
+VALID = {
+    "--mode": MODES,
+    "--backend": BACKENDS,
+    "--compress": COMPRESS,
+    "--k": ("1", "3", "unbounded"),
+    "--epsilon": ("0", "0.5"),
+    "--sigma": ("0", "0.5", "1"),
+    "--stride": ("1", "3"),
+}
+NUMBERS = st.one_of(st.integers(-3, 2**40).map(str), st.floats().map(str))
+
+
+def _flag_and_value(flag):
+    if flag == "--summary-json":
+        return st.just((flag,))
+    if flag in PATH_FLAGS:
+        value = NAMES
+    else:
+        value = st.one_of(st.sampled_from(VALID[flag]), NUMBERS | TEXT)
+    return value.map(lambda v: (flag, v))
+
+
+ITEM_LINE = st.lists(st.integers(0, 2**33), max_size=6).map(
+    lambda xs: " ".join(map(str, xs)).encode()
+)
+
+
+@settings(
+    max_examples=500,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    lines=st.lists(st.one_of(ITEM_LINE, st.binary(max_size=16)), max_size=8),
+    pairs=st.lists(st.sampled_from(FLAGS).flatmap(_flag_and_value), max_size=4),
+)
+def test_every_argv_ends_in_a_documented_exit_code(
+    tmp_path, monkeypatch, lines, pairs
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / INPUT).write_bytes(b"\n".join(lines))
+    argv = ["--input", INPUT, "--mode", "exact"]  # later flags override these
+    for pair in pairs:
+        argv.extend(pair)
+    assert main(argv) in (EXIT_OK, EXIT_USAGE, EXIT_PARSE, EXIT_IO)

@@ -21,7 +21,7 @@ from parasol.engine import answer
 from parasol.oracle import enumerate_closed, verify_delta_covered_set
 from parasol.table import EntryTable
 
-from helpers import DROP_ONE, DROP_ONE_PLUS, as_dict, random_streams
+from helpers import DROP_ONE, DROP_ONE_PLUS, as_dict, random_streams, sparse
 
 
 def table_of(rows):
@@ -218,12 +218,15 @@ class TestProcessTransaction:
         assert (e.count, e.err) == (3, 2)
 
     def test_exact_mode_equals_closed_oracle(self):
-        for _, stream in random_streams(30, base_seed=11):
-            state = replay(stream)
-            closed = enumerate_closed(stream)
-            snap = as_dict(state.snapshot())
-            assert {a: c for a, (c, _) in snap.items()} == closed
-            assert all(err == 0 for _, err in snap.values())
+        # sparse ids put item 0 in nearly every stream: an overlap
+        # that drops it shows here, without the tree to compare against
+        for _, low_ids in random_streams(30, base_seed=11):
+            for stream in (low_ids, sparse(low_ids)):
+                state = replay(stream)
+                closed = enumerate_closed(stream)
+                snap = as_dict(state.snapshot())
+                assert {a: c for a, (c, _) in snap.items()} == closed
+                assert all(err == 0 for _, err in snap.values())
 
     def test_delta_never_decreases_and_size_bounded(self):
         for _, stream in random_streams(25, base_seed=5):

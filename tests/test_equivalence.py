@@ -10,7 +10,7 @@ import random
 
 from parasol import StreamState, Transaction, process_transaction, random_stream
 
-from helpers import GRID, check_tree_shape, random_streams
+from helpers import GRID, check_tree_shape, random_streams, sparse
 
 
 def test_backends_agree_stepwise():
@@ -26,20 +26,12 @@ def test_backends_agree_stepwise():
                 assert flat.snapshot() == tree.snapshot(), (sid, k, eps, t.timestamp)
 
 
-# an order-keeping map of the ids 1-9 onto sparse ids: 0, a byte
-# boundary, and ids past 2**31 must go through both stores like 1-9
-SPARSE_IDS = dict(zip(range(1, 10), (0, 1, 255, 256, 257, 65_537, 2**31, 2**31 + 1, 2**40)))
-
-
 def test_backends_agree_stepwise_on_long_streams():
     # 300 transactions under a binding budget: the flat heap compacts
     # and thousands of entries are evicted for size along the way
     for seed in range(4):
         low_ids = random_stream(random.Random(seed), 300, 9, 6)
-        sparse_ids = [
-            Transaction(tuple(SPARSE_IDS[x] for x in t.items), t.timestamp) for t in low_ids
-        ]
-        for stream in (low_ids, sparse_ids):
+        for stream in (low_ids, sparse(low_ids)):
             for k, eps in ((3, 0.0), (20, 0.1), (8, 0.05)):
                 flat = StreamState(k=k, epsilon=eps, backend="flat")
                 tree = StreamState(k=k, epsilon=eps, backend="wtree")
@@ -59,8 +51,6 @@ def test_backends_agree_on_dense_duplicate_streams():
         # repeat transactions to force long runs of in-place increments
         items = [t.items for t in base] * 3
         rng.shuffle(items)
-        from parasol import Transaction
-
         stream = [Transaction(it, i + 1) for i, it in enumerate(items)]
         for k, eps in ((2, 0.0), (3, 0.3), (math.inf, 0.2)):
             flat = StreamState(k=k, epsilon=eps, backend="flat")

@@ -6,17 +6,14 @@ from parasol import (
     Entry,
     Transaction,
     WeepingTree,
-    find_representative,
     intersect,
     is_delta_covered,
-    is_delta_covered_set,
-    is_subset,
     itemset,
 )
-from parasol.oracle import enumerate_closed, enumerate_fis
+from parasol.oracle import enumerate_fis
 from parasol.table import EntryTable
 
-from helpers import CHAIN5, random_streams
+from helpers import CHAIN5
 
 itemsets = st.frozensets(st.integers(0, 40), max_size=8).map(lambda s: tuple(sorted(s)))
 
@@ -57,7 +54,7 @@ def test_intersect_idempotent_and_bounded(a, b):
 @given(itemsets, itemsets)
 def test_intersect_matches_set_semantics(a, b):
     assert set(intersect(a, b)) == set(a) & set(b)
-    assert is_subset(a, b) == (set(a) <= set(b))
+    assert is_delta_covered(a, 0, b, 0, 0) == (set(a) <= set(b))
 
 
 def test_entry_validation():
@@ -106,43 +103,9 @@ def test_cover_monotone_in_delta(delta, extra):
         assert is_delta_covered(sub, 7, sup, 5, delta + extra)
 
 
-def test_covered_set_pinned_chain():
-    sup = {(1,): 5, (1, 2): 4, (1, 2, 3): 4, (1, 2, 3, 4): 3}
-    family = list(sup)
-    q0 = [(1,), (1, 2, 3), (1, 2, 3, 4)]
-    q1 = [(1, 2, 3), (1, 2, 3, 4)]
-    q2 = [(1, 2, 3, 4)]
-    assert is_delta_covered_set(q0, family, sup.__getitem__, 0)
-    assert is_delta_covered_set(q1, family, sup.__getitem__, 1)
-    assert is_delta_covered_set(q2, family, sup.__getitem__, 2)
-    assert not is_delta_covered_set(q2, family, sup.__getitem__, 1)
-    assert is_delta_covered_set(family, family, sup.__getitem__, 0)
-
-
 def test_chain5_supports_are_as_pinned():
     fis = enumerate_fis(CHAIN5, 0.0)
     assert fis[(1,)] == 5
     assert fis[(1, 2)] == 4
     assert fis[(1, 2, 3)] == 4
     assert fis[(1, 2, 3, 4)] == 3
-
-
-def test_closed_sets_zero_cover_all_frequent_itemsets():
-    # lossless compression: the closed family 0-covers every itemset
-    for _, stream in random_streams(25, base_seed=400, max_n=10, max_universe=6):
-        fis = enumerate_fis(stream, 0.0)
-        closed = enumerate_closed(stream)
-        support = {**fis, **closed}
-        assert is_delta_covered_set(
-            list(closed), list(fis), support.__getitem__, 0
-        )
-
-
-def test_find_representative():
-    entries = [Entry((1, 2, 3), 5, 1), Entry((1, 2), 7, 0), Entry((4,), 9, 0)]
-    rep = find_representative(entries, (1, 2))
-    assert rep == Entry((1, 2), 7, 0)
-    assert find_representative(entries, (1, 2, 3, 4)) is None
-    # ties go to the earliest entry
-    tied = [Entry((1, 2), 7, 0), Entry((1, 2, 9), 7, 3)]
-    assert find_representative(tied, (1,)) == tied[0]

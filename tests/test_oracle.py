@@ -110,3 +110,23 @@ def test_verify_delta_covered_set():
     assert verify_delta_covered_set(fis, DROP_ONE_PLUS, 0.6, 0)
     # a summary missing the top singleton fails at delta 0
     assert not verify_delta_covered_set([(1, 5)], DROP_ONE_PLUS, 0.6, 0)
+
+
+def test_covered_set_pinned_chain():
+    # CHAIN5's closed sets {1}:5 {1,2,3}:4 {1,2,3,4}:3 cover every itemset;
+    # dropping the smaller ones needs delta = the support gap
+    q0 = [(1,), (1, 2, 3), (1, 2, 3, 4)]
+    q1 = [(1, 2, 3), (1, 2, 3, 4)]
+    q2 = [(1, 2, 3, 4)]
+    assert verify_delta_covered_set(q0, CHAIN5, 0.0, 0)
+    assert verify_delta_covered_set(q1, CHAIN5, 0.0, 1)
+    assert verify_delta_covered_set(q2, CHAIN5, 0.0, 2)
+    assert not verify_delta_covered_set(q2, CHAIN5, 0.0, 1)
+    assert not verify_delta_covered_set(q1, CHAIN5, 0.0, 0)
+    assert verify_delta_covered_set([(1,), (1, 2), *q1], CHAIN5, 0.0, 0)
+
+
+def test_closed_sets_zero_cover_all_frequent_itemsets():
+    # lossless compression: the closed family 0-covers every itemset
+    for _, stream in random_streams(25, base_seed=400, max_n=10, max_universe=6):
+        assert verify_delta_covered_set(list(enumerate_closed(stream)), stream, 0.0, 0)
