@@ -160,6 +160,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SystemExit:  # only --help exits the parser, after printing the usage
+        return EXIT_OK
     return run(args)
 
 

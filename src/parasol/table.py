@@ -5,12 +5,12 @@ birth is the timestamp the entry was (re)created and own marks entries
 born as the arriving transaction's own itemset. `Store` owns that index,
 answers every read (size, membership, lookup, snapshot) and pops minima
 in one eviction loop for both backends; `EntryTable` adds the flat
-update sweep and keeps its min-heap lazily across calls, and the weeping
-tree adds spanning-tree links to the same records and rebuilds the heap
-from the root's children at each call. Eviction order is (count, birth,
-own-first, itemset): lowest count first and oldest first among ties;
-the own-first bit reproduces the fact that a transaction's fresh entry
-is inserted before the candidates it spawns.
+update sweep and keeps one heap key per record across calls, and the
+weeping tree adds spanning-tree links to the same records and rebuilds
+the heap from the root's children at each call. Eviction order is
+(count, birth, own-first, itemset): lowest count first and oldest first
+among ties; the own-first bit reproduces the fact that a transaction's
+fresh entry is inserted before the candidates it spawns.
 """
 
 from __future__ import annotations
@@ -38,9 +38,10 @@ class Store:
     """An index from itemset to record, its reads, and its eviction loop.
 
     Subclasses write through `update(items, delta_prev, timestamp)` and
-    fill `_heap` with (count, birth, own, itemset) keys. Only the flat
-    store's heap holds stale keys (of records since changed or gone);
-    the tree's is rebuilt at each call, so the stale checks never fire.
+    fill `_heap` with one (count, birth, own, itemset) key per keyed
+    record. A key may lag a raised count, never lead it, and leaves only
+    with its record: the loop re-keys a lagging top key, so a top key
+    that matches its record is the true minimum.
     """
 
     __slots__ = ("_index", "_heap")
@@ -82,10 +83,10 @@ class Store:
         index, heap = self._index, self._heap
         delta = delta_prev
         while heap:
-            count, birth, _, alpha = heap[0]
-            rec = index.get(alpha)
-            if rec is None or rec.count != count or rec.birth != birth:
-                heapq.heappop(heap)  # stale: replaced, evicted, or reborn
+            count, birth, own, alpha = heap[0]
+            rec = index[alpha]
+            if rec.count != count:  # raised since it was keyed
+                heapq.heapreplace(heap, (rec.count, birth, own, alpha))
                 continue
             if not should_delete(count, len(index)):
                 break
@@ -102,7 +103,8 @@ class Store:
 class EntryTable(Store):
     """Bounded collection of entries keyed uniquely by itemset.
 
-    Every record change pushes a key, and the heap outlives each call.
+    Only `insert` pushes a key, and the heap outlives each call: a count
+    only rises, since an entry's own overlap is one of its candidates.
     """
 
     __slots__ = ()
@@ -152,7 +154,6 @@ class EntryTable(Store):
             if prev is None or count > prev[0] or (count == prev[0] and rec.err < prev[1]):
                 buf[beta] = (count, rec.err)
 
-        heap = self._heap
         for beta, (count, err) in buf.items():
             rec = index.get(beta)
             if rec is None:
@@ -161,8 +162,4 @@ class EntryTable(Store):
             if count != rec.count + 1 or (fresh and beta == items):
                 rec.err = err
             rec.count = count
-            heapq.heappush(heap, (count, rec.birth, rec.own, beta))
-            if len(heap) > 4 * len(index) + 64:  # rebuild from the live records
-                heap = self._heap = [(r.count, r.birth, r.own, a) for a, r in index.items()]
-                heapq.heapify(heap)
         return swept, swept

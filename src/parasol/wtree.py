@@ -203,9 +203,9 @@ class WeepingTree(Store):
         node's children reattach to the root, join the heap, and after
         the loop take over its slot of the sibling order: that keeps right
         siblings' itemsets out of every mask's subset range, which is what
-        keeps the successor skip sound. The heap holds no stale key, so
-        the loop's stale checks never fire here: a node enters it once
-        and no count changes during the call. Returns the new max error.
+        keeps the successor skip sound. No key lags its node, so the loop
+        never re-keys here: a node enters the heap once and no count
+        changes during the call. Returns the new max error.
         """
         root = self.root
         self._heap = [(c.count, c.birth, c.own, c.alpha) for c in root.children]

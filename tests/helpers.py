@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import random
 
-from parasol import Entry, Transaction, WeepingTree, itemset
+from parasol import Entry, Transaction, WeepingTree, random_stream
 from parasol.engine import eviction_rule
 
 UNIVERSE5 = (1, 2, 3, 4, 5)
@@ -67,18 +67,11 @@ def as_dict(entries) -> dict[tuple[int, ...], tuple[int, int]]:
 
 
 def random_streams(count: int, base_seed: int = 0, max_n: int = 12, max_universe: int = 7):
-    """Seeded stream generator for differential runs."""
+    """Seeded stream generator for differential runs: stream s draws its
+    length and universe from Random(base_seed + s), then its transactions."""
     for s in range(count):
         rng = random.Random(base_seed + s)
-        n = rng.randint(1, max_n)
-        universe = rng.randint(2, max_universe)
-        stream = []
-        for i in range(1, n + 1):
-            length = rng.randint(1, min(7, universe))
-            stream.append(
-                Transaction(itemset(rng.sample(range(1, universe + 1), length)), i)
-            )
-        yield s, stream
+        yield s, random_stream(rng, rng.randint(1, max_n), rng.randint(2, max_universe), 7)
 
 
 def covers(x_bits, y_bits) -> bool:

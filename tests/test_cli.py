@@ -181,6 +181,15 @@ def test_usage_errors(drop_one_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_usage_to_stdout_and_returns_ok(flag, capsys):
+    # main returns after the usage instead of raising argparse's SystemExit
+    assert run_cli([flag]) == EXIT_OK
+    out = capsys.readouterr()
+    assert out.out.startswith("usage: parasol") and "--input" in out.out
+    assert out.err == ""
+
+
 def test_parse_error_exit(tmp_path, capsys):
     bad = tmp_path / "bad.dat"
     bad.write_text("1 2\noops\n")
@@ -225,8 +234,8 @@ def test_path_with_nul_is_an_io_error(drop_one_file, flag, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-# every flag the parser defines except --help, which ends in argparse's SystemExit(0)
-FLAGS = [a.option_strings[-1] for a in build_parser()._actions if a.dest != "help"]
+# every flag the parser defines, --help included
+FLAGS = [a.option_strings[-1] for a in build_parser()._actions]
 PATH_FLAGS = ("--input", "--out", "--metrics")
 INPUT = "input.dat"
 # no path separator anywhere: run from tmp_path, a path names a file in it
@@ -246,7 +255,7 @@ NUMBERS = st.one_of(st.integers(-3, 2**40).map(str), st.floats().map(str))
 
 
 def _flag_and_value(flag):
-    if flag == "--summary-json":
+    if flag in ("--summary-json", "--help"):
         return st.just((flag,))
     if flag in PATH_FLAGS:
         value = NAMES

@@ -151,15 +151,35 @@ class TestDeletion:
 
     @pytest.mark.parametrize("backend", ["flat", "wtree"])
     def test_flat_key_heap_stays_bounded(self, backend):
-        # stale flat keys are compacted away once the heap outgrows
-        # 4 * len + 64, the tree's heap holds only root children, and an
-        # update leaves at most 2k + 1 entries, so either heap is O(k)
-        # however long the stream runs
+        # the flat heap holds exactly one key per entry, the tree's holds
+        # only root children, and an update leaves at most 2k + 1 entries,
+        # so either heap is O(k) however long the stream runs
         k = 50
         state = StreamState(k=k, backend=backend)
         for t in random_stream(random.Random(5), 3000, 10, 6):
             process_transaction(state, t)
             assert len(state.table._heap) <= 4 * (2 * k + 1) + 64
+            if backend == "flat":
+                assert len(state.table._heap) == len(state.table)
+
+    def test_raised_count_is_rekeyed_before_eviction(self):
+        # (1,) is keyed at count 1 and two hits raise it to 3 without a
+        # new key, so its key lags and (2,) is the true minimum
+        t = table_of(
+            [
+                ((1,), 1, 0, 1, False),
+                ((2,), 2, 0, 2, False),
+                ((3,), 5, 0, 3, False),
+            ]
+        )
+        for ts in (4, 5):
+            intersect_step(t, Transaction((1,), ts), 0)
+        assert len(t._heap) == len(t) == 3
+        _, delta = rc_delete(t, 2, 0)
+        assert as_dict(t.snapshot()) == {(1,): (3, 0), (3,): (5, 0)} and delta == 2
+        # the re-keyed entry is evicted next, and delta takes its current count
+        _, delta = rc_delete(t, 1, delta)
+        assert as_dict(t.snapshot()) == {(3,): (5, 0)} and delta == 3
 
     def test_min_extraction_prefers_oldest(self):
         t = table_of(

@@ -27,8 +27,8 @@ def test_backends_agree_stepwise():
 
 
 def test_backends_agree_stepwise_on_long_streams():
-    # 300 transactions under a binding budget: the flat heap compacts
-    # and thousands of entries are evicted for size along the way
+    # 300 transactions under a binding budget: the flat heap re-keys
+    # raised counts and thousands of entries are evicted for size
     for seed in range(4):
         low_ids = random_stream(random.Random(seed), 300, 9, 6)
         for stream in (low_ids, sparse(low_ids)):
