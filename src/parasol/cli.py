@@ -73,7 +73,7 @@ def run(args: argparse.Namespace) -> int:
         return EXIT_IO
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
-    k_n = len(state.table)  # read before two-step compression absorbs tree entries
+    k_n = len(state.table)  # the mined size: compression summarises, it never trims the table
     if args.compress == "two-step":
         final_entries = compress_mod.compress_two_step(state.table, state.delta)
     elif args.compress == "flat":

@@ -8,6 +8,10 @@ e2's bracket valid and leaves its count - err pivot unchanged, so
 absorption never creates new qualifying pairs, only removes entries.
 The output is therefore still a delta_n-covered summary of the frequent
 itemsets, never larger than the input.
+
+Both absorption rules live here: `delta_compress` tries every pair, and
+`precompress_scan` tries only the weeping tree's parent-child edges.
+Neither touches the store it reads, so a stream can go on after either.
 """
 
 from __future__ import annotations
@@ -59,13 +63,42 @@ def delta_compress(entries: Iterable[Entry], delta_n: int) -> list[Entry]:
     return pool
 
 
+def precompress_scan(tree: WeepingTree, delta_n: int) -> list[Entry]:
+    """One bottom-up pass absorbing children their tree parent covers.
+
+    A child is absorbed when its count <= parent.count - parent.err +
+    delta_n (its itemset is a subset of the parent's by construction, so
+    the parent covers it within delta_n). The parent takes the child's
+    count and widens its err by the difference. Nodes are visited in
+    reverse depth-first order, so each node's estimate is final before
+    its parent tests it, and each parent tests its children left to
+    right. Each edge is tested once: an absorbed child's children are not
+    tested against the absorber, and the root's children have no
+    covering parent. Since absorption keeps the parent's pivot, the
+    test reads the parent's stored estimate.
+
+    Returns the survivors with their absorbed estimates, in `snapshot()`
+    order; the tree is left as it was.
+    """
+    est: dict[Items, tuple[int, int]] = {}
+    for node in reversed(list(tree.nodes())):
+        count, err = node.count, node.err
+        ceiling = count - err + delta_n
+        for child in node.children:
+            child_count = est[child.alpha][0]
+            if child_count <= ceiling:
+                del est[child.alpha]
+                count, err = child_count, err + child_count - count
+        est[node.alpha] = count, err
+    return [Entry(e.alpha, *est[e.alpha]) for e in tree.snapshot() if e.alpha in est]
+
+
 def compress_two_step(tree: WeepingTree, delta_n: int) -> list[Entry]:
     """Linear parent-child absorption pass, then full pairwise compaction.
 
-    The tree pass mutates the tree; both steps preserve the covering
-    guarantee, and the result is no larger than either step alone would
-    leave. The two-step route and direct `delta_compress` may keep
-    different survivors; both are valid summaries.
+    Both steps preserve the covering guarantee and leave the tree as it
+    was, and the result is no larger than either step alone would leave.
+    The two-step route and direct `delta_compress` may keep different
+    survivors; both are valid summaries.
     """
-    tree.precompress_scan(delta_n)
-    return delta_compress(tree.snapshot(), delta_n)
+    return delta_compress(precompress_scan(tree, delta_n), delta_n)

@@ -2,7 +2,7 @@
 
 Every stored itemset is a node; a node's itemset is always a subset of
 its parent's, so counts never decrease along a downward edge and every
-minimum-count entry sits directly under the root. That shape gives three
+minimum-count entry sits directly under the root. That shape gives two
 shortcuts:
 
 * updates walk the tree depth-first left-to-right, narrowing the
@@ -24,11 +24,8 @@ shortcuts:
   into a leaf and a hit on a leaf in place, without a frame or a
   subtree pass;
 * eviction runs the shared `Store` pop loop over a heap of the root's
-  children, rebuilt at each call, and reattaches each removed node's
-  children to the root;
-* a single bottom-up pass can absorb every child whose estimate is
-  within the final error budget of its parent's, as a cheap prelude to
-  full pairwise compaction.
+  children, rebuilt at each call; an evicted node's children take its
+  slot under the root. Eviction is the only way a node leaves the tree.
 
 A node is the flat store's `Record` with parent and child links added,
 and the tree keeps its nodes in the same `Store` index the flat table
@@ -46,7 +43,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Iterator
 
-from .itemsets import Entry, Items, require_canonical
+from .itemsets import Items, require_canonical
 from .table import Record, Store
 
 
@@ -199,92 +196,36 @@ class WeepingTree(Store):
         """Pop minimum entries while should_delete(min_count, size) holds.
 
         Minima always sit in the shallowest layer, so the shared `Store`
-        loop runs over a heap rebuilt from the root's children. A removed
-        node's children reattach to the root, join the heap, and after
-        the loop take over its slot of the sibling order: that keeps right
-        siblings' itemsets out of every mask's subset range, which is what
-        keeps the successor skip sound. No key lags its node, so the loop
-        never re-keys here: a node enters the heap once and no count
-        changes during the call. Returns the new max error.
+        loop runs over a heap rebuilt from the root's children. No key
+        lags its node, so the loop never re-keys here: a node enters the
+        heap once and no count changes during the call. Returns the new
+        max error.
         """
-        root = self.root
-        self._heap = [(c.count, c.birth, c.own, c.alpha) for c in root.children]
+        self._heap = [(c.count, c.birth, c.own, c.alpha) for c in self.root.children]
         heapq.heapify(self._heap)
-        size = len(self._index)
-        delta = super().delete_minima(should_delete, delta_prev)
-        if len(self._index) < size:  # splice each removed node's children into its slot
-            frontier: list[WNode] = []
-            stack = list(reversed(root.children))
-            while stack:
-                node = stack.pop()
-                if node.parent is None:  # removed by _evicted
-                    stack.extend(reversed(node.children))
-                    node.children = []
-                else:
-                    frontier.append(node)
-            root.children = frontier
-        return delta
+        return super().delete_minima(should_delete, delta_prev)
 
     def _evicted(self, node: WNode) -> None:
-        node.parent = None
-        for child in node.children:  # children kept for the splice
-            child.parent = self.root
+        """An evicted root child's children take its slot under the root
+        and join the heap. Keeping the slot keeps right siblings' itemsets
+        out of every mask's subset range, which keeps the successor skip
+        sound."""
+        root = self.root
+        slot = root.children.index(node)
+        root.children[slot : slot + 1] = node.children
+        for child in node.children:
+            child.parent = root
             heapq.heappush(self._heap, (child.count, child.birth, child.own, child.alpha))
-
-    # -- compaction prelude ---------------------------------------------
-
-    def precompress_scan(self, delta_n: int) -> list[Entry]:
-        """One bottom-up left-to-right pass absorbing coverable children.
-
-        A child is absorbed when child.count <= parent.count - parent.err
-        + delta_n (its itemset is a subset of the parent's by
-        construction, so the parent covers it within delta_n). The parent
-        takes the child's count, widens its err by the difference, and
-        adopts the grandchildren in place. Each edge is examined once;
-        children the root holds directly have no covering parent and are
-        never absorbed. Returns the removed entries.
-        """
-        removed: list[Entry] = []
-        stack: list[tuple[WNode, int]] = [(self.root, 0)]
-        while stack:
-            node, ci = stack[-1]
-            if ci < len(node.children):
-                stack[-1] = (node, ci + 1)
-                stack.append((node.children[ci], 0))
-                continue
-            stack.pop()
-            if not stack or node is self.root:
-                continue
-            parent, pi = stack[-1]
-            if parent is self.root:
-                continue
-            if node.count <= parent.count - parent.err + delta_n:
-                removed.append(Entry(node.alpha, node.count, node.err))
-                parent.err += node.count - parent.count
-                parent.count = node.count
-                del self._index[node.alpha]
-                node.parent = None
-                slot = pi - 1  # node's own position in parent's children
-                for child in node.children:
-                    child.parent = parent
-                node.children, grafted = [], node.children
-                parent.children[slot : slot + 1] = grafted
-                # resume after the grafted block: it was already scanned
-                stack[-1] = (parent, slot + len(grafted))
-        return removed
 
     # -- debugging -------------------------------------------------------
 
     def dump(self) -> str:
         """One node per line, depth-indented: itemset TAB count TAB err TAB birth."""
         lines: list[str] = []
-
-        def walk(node: WNode, depth: int) -> None:
+        stack = [(child, 0) for child in reversed(self.root.children)]
+        while stack:
+            node, depth = stack.pop()
             label = " ".join(str(x) for x in node.alpha)
             lines.append(f"{'  ' * depth}{label}\t{node.count}\t{node.err}\t{node.birth}")
-            for child in node.children:
-                walk(child, depth + 1)
-
-        for child in self.root.children:
-            walk(child, 0)
+            stack.extend((child, depth + 1) for child in reversed(node.children))
         return "\n".join(lines)

@@ -92,14 +92,12 @@ def covers(x_bits, y_bits) -> bool:
     return all(y[j] == x[j] for j in range(last))
 
 
-def check_tree_shape(tree, counts: bool = True) -> None:
+def check_tree_shape(tree) -> None:
     """Assert the weeping tree's structural invariants.
 
     The nodes reachable from the root are exactly the index, every parent
     link matches, and each child's itemset is a proper subset of its
-    parent's. With counts, each child's count is also at least its
-    parent's; `precompress_scan` gives that up, because an absorbing
-    parent takes its child's count and can overtake its other children.
+    parent's and its count at least its parent's.
     """
     seen = 0
     stack = [tree.root]
@@ -110,8 +108,7 @@ def check_tree_shape(tree, counts: bool = True) -> None:
             assert tree._index.get(child.alpha) is child, child.alpha
             if node is not tree.root:
                 assert set(child.alpha) < set(node.alpha), (child.alpha, node.alpha)
-                if counts:
-                    assert child.count >= node.count, (child.alpha, node.alpha)
+                assert child.count >= node.count, (child.alpha, node.alpha)
             seen += 1
             stack.append(child)
     assert seen == len(tree._index)

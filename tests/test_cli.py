@@ -97,8 +97,7 @@ def test_backends_and_compression_agree_on_results(drop_one_file, tmp_path):
 
 
 def test_k_n_is_the_mined_size_whatever_the_compression(tmp_path, capsys):
-    # two-step compression absorbs entries into the tree itself; k(n) is
-    # the size mining left, read before any compression runs
+    # k(n) is the size mining left; no compression route changes it
     path = tmp_path / "drop_one.dat"
     with open(path, "w") as fh:
         write_fimi(DROP_ONE, fh)

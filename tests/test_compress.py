@@ -1,4 +1,15 @@
-from parasol import Entry, compress_two_step, delta_compress, replay
+import math
+import random
+
+from parasol import (
+    Entry,
+    StreamState,
+    compress_two_step,
+    delta_compress,
+    process_transaction,
+    replay,
+)
+from parasol.compress import precompress_scan
 from parasol.oracle import enumerate_closed, verify_delta_covered_set
 
 from helpers import DROP_ONE, DROP_ONE_PLUS, as_dict, random_streams
@@ -77,8 +88,6 @@ def test_two_step_sound_and_size_monotone():
 def test_prescan_removes_a_positive_fraction_on_dense_input():
     # dense, heavily nested tables give the linear parent-child pass
     # real work to do before the quadratic phase
-    import random
-
     from parasol import Transaction, itemset
 
     rng = random.Random(2024)
@@ -88,11 +97,29 @@ def test_prescan_removes_a_positive_fraction_on_dense_input():
     ]
     state = replay(stream, k=200, epsilon=0.05, backend="wtree")
     size_before = len(state.table)
-    removed = state.table.precompress_scan(state.delta)
-    assert len(removed) > 0
-    assert len(state.table) == size_before - len(removed)
-    out = delta_compress(state.table.snapshot(), state.delta)
-    assert len(out) <= size_before - len(removed)
+    survivors = precompress_scan(state.table, state.delta)
+    assert len(survivors) < size_before
+    assert len(state.table) == size_before
+    out = delta_compress(survivors, state.delta)
+    assert len(out) <= len(survivors)
+
+
+def test_two_step_leaves_a_continuing_stream_unchanged():
+    # compressing mid-stream must not touch the tree: a tree compressed
+    # every few steps stays equal to a flat store that never compressed
+    rng = random.Random(61)
+    for _, stream in random_streams(60, base_seed=1_300, max_n=20):
+        for k, eps in ((4, 0.0), (10, 0.05), (math.inf, 0.0)):
+            flat = StreamState(k=k, epsilon=eps, backend="flat")
+            tree = StreamState(k=k, epsilon=eps, backend="wtree")
+            every = rng.randint(2, 5)
+            for t in stream:
+                process_transaction(flat, t)
+                process_transaction(tree, t)
+                if t.timestamp % every == 0:
+                    compress_two_step(tree.table, tree.delta)
+                assert flat.delta == tree.delta, (k, eps, t.timestamp)
+                assert flat.snapshot() == tree.snapshot(), (k, eps, t.timestamp)
 
 
 def test_worked_stream_end_to_end():

@@ -1,9 +1,11 @@
 import math
 import random
+import sys
 
 import pytest
 
 from parasol import Transaction, WeepingTree, itemset, random_stream, replay
+from parasol.compress import precompress_scan
 from parasol.engine import StreamState, process_transaction
 
 from helpers import (
@@ -11,7 +13,6 @@ from helpers import (
     GRID,
     OVERLAP4,
     as_dict,
-    check_tree_shape,
     covers,
     random_streams,
     replay_checking_visits,
@@ -263,26 +264,54 @@ class TestDeleteMinima:
 class TestPrecompressScan:
     def test_removes_covered_children_once(self):
         state = replay(DROP_ONE, epsilon=0.25, k=15, backend="wtree")
-        removed = state.table.precompress_scan(state.delta)
-        assert {(e.alpha, e.count, e.err) for e in removed} == {
+        survivors = as_dict(precompress_scan(state.table, state.delta))
+        removed = {(e.alpha, e.count, e.err) for e in state.snapshot() if e.alpha not in survivors}
+        assert removed == {
             ((5,), 4, 0),
             ((3, 5), 3, 0),
             ((2, 5), 3, 0),
             ((1, 5), 3, 0),
         }
-        assert len(state.table) == 7
-        survivors = as_dict(state.table.snapshot())
+        assert len(survivors) == 7
         assert survivors[(4, 5)] == (4, 1)  # absorbed the dropped singleton
         assert survivors[(3, 4, 5)] == (3, 1)
+        assert state.table.dump() == REDUCED_TREE
 
     def test_no_qualifying_pairs_is_identity(self):
         state = replay(DROP_ONE, backend="wtree")
         before = state.table.dump()
-        assert state.table.precompress_scan(0) == []
+        assert precompress_scan(state.table, 0) == state.snapshot()
         assert state.table.dump() == before
 
-    def test_parent_child_bounds_hold_afterwards(self):
+    def test_absorbed_childs_children_are_not_retested(self):
+        # (1, 2) is absorbed into (1, 2, 3); its child (1,) fails its own
+        # parent's test and is not tested against (1, 2, 3), which would
+        # take it. Updates have not been seen to build a child whose pivot
+        # lies below its parent's, without which the two rules agree, so
+        # the tree is built by hand.
+        tree = WeepingTree()
+        top = tree._attach(tree.root, (1, 2, 3), 5, 0, 1, own=False)
+        mid = tree._attach(top, (1, 2), 5, 3, 2, own=False)
+        tree._attach(mid, (1,), 6, 0, 3, own=False)
+        assert as_dict(precompress_scan(tree, 1)) == {(1, 2, 3): (5, 0), (1,): (6, 0)}
+
+    def test_tree_dump_is_unchanged_afterwards(self):
         for _, stream in random_streams(30, base_seed=23):
             state = replay(stream, k=5, backend="wtree")
-            state.table.precompress_scan(state.delta)
-            check_tree_shape(state.table, counts=False)
+            before = state.table.dump()
+            precompress_scan(state.table, state.delta)
+            assert state.table.dump() == before
+
+
+class TestDump:
+    def test_chain_deeper_than_the_recursion_limit(self):
+        # each node's itemset drops the previous one's last item
+        depth = sys.getrecursionlimit() + 50
+        tree = WeepingTree()
+        node = tree.root
+        for size in range(depth, 0, -1):
+            node = tree._attach(node, tuple(range(size)), depth - size + 1, 0, 1, own=False)
+        lines = tree.dump().splitlines()
+        assert len(lines) == depth
+        assert lines[0] == " ".join(map(str, range(depth))) + "\t1\t0\t1"
+        assert lines[-1] == "  " * (depth - 1) + f"0\t{depth}\t0\t1"
