@@ -10,7 +10,7 @@ the table stays a delta-covered summary of the frequent itemsets.
 
 The stores do the work: `EntryTable.update` sweeps every stored itemset
 and `WeepingTree.update` walks the tree; both return (visits,
-intersections) and evict through `delete_minima` with the same rule.
+intersections) and evict through `delete_minima(k, epsilon * i, delta)`.
 `intersect_step`, `rc_delete` and `parasol_delete` are the flat store's
 steps under the names the benchmark's tracer wraps.
 
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .itemsets import Entry, Transaction
 from .table import EntryTable, Store
@@ -107,22 +106,16 @@ def intersect_step(table: EntryTable, t: Transaction, delta_prev: int) -> tuple[
     return table.update(t.items, delta_prev, t.timestamp)
 
 
-def eviction_rule(k: float, epsilon: float, i: int) -> Callable[[int, int], bool]:
-    """The deletion predicate over (minimum count, table size) at timestamp i."""
-    bound = epsilon * i
-    return lambda count, size: size > k or count <= bound
-
-
-def rc_delete(table: EntryTable, k: float, delta_prev: int) -> tuple[EntryTable, int]:
+def rc_delete(table: EntryTable, k: float, delta_prev: int) -> int:
     """Evict minimum entries while the table exceeds k; returns the new delta."""
-    return table, table.delete_minima(eviction_rule(k, 0.0, 0), delta_prev)
+    return table.delete_minima(k, 0, delta_prev)
 
 
 def parasol_delete(
     table: EntryTable, k: float, epsilon: float, i: int, delta_prev: int
-) -> tuple[EntryTable, int]:
+) -> int:
     """Evict while the table exceeds k or the minimum count is <= epsilon * i."""
-    return table, table.delete_minima(eviction_rule(k, epsilon, i), delta_prev)
+    return table.delete_minima(k, epsilon * i, delta_prev)
 
 
 def process_transaction(state: StreamState, t: Transaction) -> StreamState:
@@ -137,11 +130,11 @@ def process_transaction(state: StreamState, t: Transaction) -> StreamState:
         visits, intersections = table.update(t.items, state.delta, i)
         peak = len(table)
         # not via parasol_delete: perfbench would count the evictions twice
-        delta = table.delete_minima(eviction_rule(state.k, state.epsilon, i), state.delta)
+        delta = table.delete_minima(state.k, state.epsilon * i, state.delta)
     else:
         visits, intersections = intersect_step(table, t, state.delta)
         peak = len(table)
-        _, delta = parasol_delete(table, state.k, state.epsilon, i, state.delta)
+        delta = parasol_delete(table, state.k, state.epsilon, i, state.delta)
 
     state.i = i
     state.delta = delta

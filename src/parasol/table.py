@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable
 
 from .itemsets import Entry, Items, require_canonical
 
@@ -72,14 +71,10 @@ class Store:
         rows.sort()  # itemsets are unique, so the record itself is never compared
         return [Entry(alpha, rec.count, rec.err) for _, _, alpha, rec in rows]
 
-    def delete_minima(
-        self, should_delete: Callable[[int, int], bool], delta_prev: int
-    ) -> int:
-        """Pop minimum entries while should_delete(min_count, size) holds.
-
-        Returns the new maximum error: the largest of delta_prev and the
-        evicted counts.
-        """
+    def delete_minima(self, k: float, floor: float, delta_prev: int) -> int:
+        """Pop minimum entries while size > k or count <= floor, the
+        deletion rule with floor = epsilon * i; returns the new maximum
+        error, the largest of delta_prev and the evicted counts."""
         index, heap = self._index, self._heap
         delta = delta_prev
         while heap:
@@ -88,7 +83,7 @@ class Store:
             if rec.count != count:  # raised since it was keyed
                 heapq.heapreplace(heap, (rec.count, birth, own, alpha))
                 continue
-            if not should_delete(count, len(index)):
+            if len(index) <= k and count > floor:
                 break
             heapq.heappop(heap)
             del index[alpha]
@@ -157,7 +152,7 @@ class EntryTable(Store):
         for beta, (count, err) in buf.items():
             rec = index.get(beta)
             if rec is None:
-                self.insert(beta, count, err, timestamp, own=(beta == items))
+                self.insert(beta, count, err, timestamp, own=False)
                 continue
             if count != rec.count + 1 or (fresh and beta == items):
                 rec.err = err

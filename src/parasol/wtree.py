@@ -41,7 +41,7 @@ ancestry and sibling order carry the same information.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .itemsets import Items, require_canonical
 from .table import Record, Store
@@ -190,10 +190,8 @@ class WeepingTree(Store):
 
     # -- eviction -------------------------------------------------------
 
-    def delete_minima(
-        self, should_delete: Callable[[int, int], bool], delta_prev: int
-    ) -> int:
-        """Pop minimum entries while should_delete(min_count, size) holds.
+    def delete_minima(self, k: float, floor: float, delta_prev: int) -> int:
+        """Pop minimum entries while size > k or count <= floor.
 
         Minima always sit in the shallowest layer, so the shared `Store`
         loop runs over a heap rebuilt from the root's children. No key
@@ -203,7 +201,7 @@ class WeepingTree(Store):
         """
         self._heap = [(c.count, c.birth, c.own, c.alpha) for c in self.root.children]
         heapq.heapify(self._heap)
-        return super().delete_minima(should_delete, delta_prev)
+        return super().delete_minima(k, floor, delta_prev)
 
     def _evicted(self, node: WNode) -> None:
         """An evicted root child's children take its slot under the root

@@ -27,7 +27,6 @@ import math
 import random
 
 from parasol import Entry, Transaction, WeepingTree, random_stream
-from parasol.engine import eviction_rule
 
 UNIVERSE5 = (1, 2, 3, 4, 5)
 
@@ -153,7 +152,7 @@ def replay_checking_visits(stream, k: float, epsilon: float) -> list[tuple[int, 
         tree.trace = []
         visits, intersections = tree.update(t.items, delta, t.timestamp)
         check_walk_visits(tree, visits)
-        delta = tree.delete_minima(eviction_rule(k, epsilon, t.timestamp), delta)
+        delta = tree.delete_minima(k, epsilon * t.timestamp, delta)
         steps.append((visits, intersections))
     return steps
 

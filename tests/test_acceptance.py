@@ -160,7 +160,7 @@ def test_c03_full_five_step_replay():
     assert as_dict(state.snapshot())[(2, 5)] == (3, 0)  # the minimum about to go
     from parasol import rc_delete
 
-    _, delta = rc_delete(state.table, 3, state.delta)
+    delta = rc_delete(state.table, 3, state.delta)
     state.delta = delta
     after = as_dict(state.snapshot())
     assert after == {(5,): (5, 0), (1, 5): (4, 0), (1, 3, 5): (4, 3)}

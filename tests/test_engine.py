@@ -103,7 +103,8 @@ class TestDeletion:
         state = StreamState()
         for t in DROP_ONE[:3]:
             process_transaction(state, t)
-        table, delta = rc_delete(state.table, 3, state.delta)
+        table = state.table
+        delta = rc_delete(table, 3, state.delta)
         assert len(table) == 3
         assert delta == 2
         assert as_dict(table.snapshot()) == {
@@ -114,7 +115,7 @@ class TestDeletion:
 
     def test_rc_delete_noop_below_k(self):
         t = table_of([((1,), 3, 0, 1, False)])
-        _, delta = rc_delete(t, 5, 1)
+        delta = rc_delete(t, 5, 1)
         assert len(t) == 1 and delta == 1
 
     def test_worked_fifth_step_deletes_unique_minimum(self):
@@ -126,7 +127,7 @@ class TestDeletion:
             ]
         )
         intersect_step(t, Transaction((1, 3, 5), 5), 3)
-        _, delta = rc_delete(t, 3, 3)
+        delta = rc_delete(t, 3, 3)
         assert delta == 3
         assert as_dict(t.snapshot()) == {
             (5,): (5, 0),
@@ -139,14 +140,14 @@ class TestDeletion:
         for t in DROP_ONE:
             process_transaction(state, t)
         assert len(state.table) == 15
-        _, delta = parasol_delete(state.table, 15, 0.25, 4, state.delta)
+        delta = parasol_delete(state.table, 15, 0.25, 4, state.delta)
         assert delta == 1
         assert len(state.table) == 11
         assert all(e.count >= 2 for e in state.table.snapshot())
 
     def test_parasol_delete_pure_rc_when_epsilon_zero(self):
         t = table_of([((1,), 1, 0, 1, False), ((2,), 2, 0, 2, False)])
-        _, delta = parasol_delete(t, 5, 0.0, 9, 0)
+        delta = parasol_delete(t, 5, 0.0, 9, 0)
         assert len(t) == 2 and delta == 0  # counts >= 1 > 0
 
     @pytest.mark.parametrize("backend", ["flat", "wtree"])
@@ -175,10 +176,10 @@ class TestDeletion:
         for ts in (4, 5):
             intersect_step(t, Transaction((1,), ts), 0)
         assert len(t._heap) == len(t) == 3
-        _, delta = rc_delete(t, 2, 0)
+        delta = rc_delete(t, 2, 0)
         assert as_dict(t.snapshot()) == {(1,): (3, 0), (3,): (5, 0)} and delta == 2
         # the re-keyed entry is evicted next, and delta takes its current count
-        _, delta = rc_delete(t, 1, delta)
+        delta = rc_delete(t, 1, delta)
         assert as_dict(t.snapshot()) == {(3,): (5, 0)} and delta == 3
 
     def test_min_extraction_prefers_oldest(self):
@@ -202,7 +203,7 @@ class TestDeletion:
             ]
         )
         # (1, 2) sorts first, so only the own-first bit picks (1, 2, 3)
-        _, delta = rc_delete(t, 1, 0)
+        delta = rc_delete(t, 1, 0)
         assert [e.alpha for e in t.snapshot()] == [(1, 2)] and delta == 3
 
 

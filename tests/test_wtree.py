@@ -245,7 +245,7 @@ class TestDeleteMinima:
     def test_stop_immediately_is_identity(self):
         state = replay(DROP_ONE, backend="wtree")
         before = state.table.dump()
-        delta = state.table.delete_minima(lambda c, size: False, 0)
+        delta = state.table.delete_minima(math.inf, 0, 0)
         assert delta == 0 and state.table.dump() == before
 
     def test_minima_always_shallow(self):
