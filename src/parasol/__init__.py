@@ -9,26 +9,9 @@ size-driven eviction only under memory pressure.
 """
 
 from .compress import compress_two_step, delta_compress
-from .engine import (
-    QueryResult,
-    StreamState,
-    TimestampGap,
-    intersect_step,
-    parasol_delete,
-    process_transaction,
-    query,
-    rc_delete,
-    replay,
-)
+from .engine import QueryResult, StreamState, TimestampGap, process_transaction, query, replay
 from .fimi import ParseError, ParseStats, parse_fimi, write_fimi, write_metrics, write_result
-from .itemsets import (
-    Entry,
-    Items,
-    Transaction,
-    intersect,
-    is_delta_covered,
-    itemset,
-)
+from .itemsets import Entry, Items, Transaction, itemset
 from .oracle import (
     UniverseTooLarge,
     enumerate_closed,
@@ -61,16 +44,11 @@ __all__ = [
     "enumerate_closed",
     "enumerate_delta_closed",
     "enumerate_fis",
-    "intersect",
-    "intersect_step",
-    "is_delta_covered",
     "itemset",
-    "parasol_delete",
     "parse_fimi",
     "process_transaction",
     "query",
     "random_stream",
-    "rc_delete",
     "replay",
     "true_support",
     "verify_delta_covered_set",

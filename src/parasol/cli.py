@@ -53,18 +53,20 @@ def _open(path: str, mode: str, **kwargs: str) -> IO[str]:
 
 
 def run(args: argparse.Namespace) -> int:
-    """Replay the stream the checked arguments name; returns a process exit code."""
+    """Mine the input file with `engine.replay`, then compress, query and write.
+
+    Takes arguments `_check` has passed, so the state that `replay` builds
+    once the input is open cannot reject them. Returns a process exit code.
+    """
     k = math.inf if args.mode == "exact" else args.k  # exact: nothing is ever evicted
     epsilon = args.epsilon if args.mode == "parasol" else 0.0
-    state = engine.StreamState(k=k, epsilon=epsilon, backend=args.backend)
     stats = fimi.ParseStats()
 
     started = time.perf_counter()
     try:
         # an undecodable byte becomes a token that fails to parse on its own line
         with _open(args.input, "r", errors="surrogateescape") as fh:
-            for t in fimi.parse_fimi(fh, stats):
-                engine.process_transaction(state, t)
+            state = engine.replay(fimi.parse_fimi(fh, stats), k, epsilon, args.backend)
     except fimi.ParseError as exc:
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return EXIT_PARSE

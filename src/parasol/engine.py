@@ -12,7 +12,9 @@ The stores do the work: `EntryTable.update` sweeps every stored itemset
 and `WeepingTree.update` walks the tree; both return (visits,
 intersections) and evict through `delete_minima(k, epsilon * i, delta)`.
 `intersect_step`, `rc_delete` and `parasol_delete` are the flat store's
-steps under the names the benchmark's tracer wraps.
+steps under the names the benchmark's tracer (`perfbench/tracing.py`)
+looks up in this module and wraps. They are hooks, not API: the package
+does not export them.
 
 Size-only eviction (RC) is the same rule with epsilon = 0: every stored
 count is at least 1, so only the size bound can fire. With epsilon > 0
@@ -92,9 +94,7 @@ class QueryResult:
 
     entries: list[Entry]
     weak_guarantee: bool
-    sigma: float
-    i: int
-    delta: int
+    i: int  # the timestamp the result was read at
 
 
 def intersect_step(table: EntryTable, t: Transaction, delta_prev: int) -> tuple[int, int]:
@@ -145,13 +145,7 @@ def process_transaction(state: StreamState, t: Transaction) -> StreamState:
 def answer(entries: list[Entry], sigma: float, i: int, delta: int) -> QueryResult:
     """The entries with count > sigma * i; the guarantee is weak when delta > sigma * i."""
     threshold = sigma * i
-    return QueryResult(
-        entries=[e for e in entries if e.count > threshold],
-        weak_guarantee=delta > threshold,
-        sigma=sigma,
-        i=i,
-        delta=delta,
-    )
+    return QueryResult([e for e in entries if e.count > threshold], delta > threshold, i)
 
 
 def query(state: StreamState, sigma: float) -> QueryResult:
@@ -175,7 +169,11 @@ def replay(
     epsilon: float = 0.0,
     backend: str = "flat",
 ) -> StreamState:
-    """Feed a whole finite stream through a fresh state; convenience wrapper."""
+    """Feed a whole finite stream through a fresh state and return it.
+
+    `process_transaction` is looked up in this module at each step, so a
+    wrapper installed on `engine.process_transaction` sees every step.
+    """
     state = StreamState(k=k, epsilon=epsilon, backend=backend)
     for t in transactions:
         process_transaction(state, t)

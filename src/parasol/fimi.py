@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 from .itemsets import Entry, Transaction, itemset
@@ -33,7 +33,6 @@ class ParseStats:
     """Side counters for a parse run."""
 
     lines: int = 0
-    transactions: int = 0
     skipped: int = 0  # blank or whitespace-only lines
 
 
@@ -70,7 +69,6 @@ def parse_fimi(
             limit = sys.get_int_max_str_digits()
             raise ParseError(lineno, f"item longer than {limit} digits") from None
         timestamp += 1
-        counters.transactions = timestamp
         yield Transaction(items, timestamp)
 
 
@@ -81,25 +79,16 @@ def write_fimi(transactions: Iterable[Transaction], fh: IO[str]) -> None:
         fh.write("\n")
 
 
-def format_result_rows(entries: Iterable[Entry]) -> list[str]:
-    """Result-table lines: "items<TAB>count<TAB>err", highest counts first.
+def write_result(entries: Iterable[Entry], fh: IO[str]) -> int:
+    """Write the result table; returns the number of rows written.
 
-    Ordered by descending count then lexicographic itemset so identical
-    runs diff byte-for-byte.
+    One "items<TAB>count<TAB>err" line per entry, by descending count then
+    lexicographic itemset, so identical runs diff byte-for-byte.
     """
     ordered = sorted(entries, key=lambda e: (-e.count, e.alpha))
-    return [
-        "{}\t{}\t{}".format(" ".join(str(x) for x in e.alpha), e.count, e.err)
-        for e in ordered
-    ]
-
-
-def write_result(entries: Iterable[Entry], fh: IO[str]) -> int:
-    rows = format_result_rows(entries)
-    for row in rows:
-        fh.write(row)
-        fh.write("\n")
-    return len(rows)
+    for e in ordered:
+        fh.write("{}\t{}\t{}\n".format(" ".join(str(x) for x in e.alpha), e.count, e.err))
+    return len(ordered)
 
 
 def write_metrics(

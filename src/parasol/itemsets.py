@@ -1,9 +1,9 @@
-"""Itemset algebra and the cover predicates the rest of the library is built on.
+"""The value types the library passes around, and the canonical-itemset check.
 
-An itemset is a plain tuple of strictly increasing non-negative integers.
-The empty tuple is the distinguished "disjoint" result; it is never stored
-in any table. All values here are immutable and every function is pure, so
-they are safe to share across threads.
+An itemset is a plain tuple of strictly increasing non-negative integers;
+the empty tuple is never stored in any table. `Transaction` and `Entry`
+are immutable, and every function here is pure, so all of them are safe
+to share across threads.
 """
 
 from __future__ import annotations
@@ -30,19 +30,12 @@ def itemset(items: Iterable[int]) -> Items:
 
 
 def require_canonical(items: Items) -> None:
-    """Raise ValueError unless items are non-empty, strictly increasing and non-negative."""
-    if not items or items[0] < 0 or not all(map(operator.lt, items, items[1:])):
-        raise ValueError(
-            f"itemsets must be non-empty, strictly increasing and non-negative, got {items}"
-        )
-
-
-def intersect(a: Items, b: Items) -> Items:
-    """Sorted intersection of two canonical itemsets; () when disjoint."""
-    if len(b) < len(a):
-        a, b = b, a
-    bs = set(b)
-    return tuple(x for x in a if x in bs)
+    """Raise ValueError unless items is a non-empty, strictly increasing tuple of
+    non-negative ints; a list would otherwise fail later, unhashable, in a store."""
+    if not isinstance(items, tuple) or not items or items[0] < 0:
+        raise ValueError(f"itemsets are non-empty tuples of non-negative ints, got {items!r}")
+    if not all(map(operator.lt, items, items[1:])):
+        raise ValueError(f"itemsets are strictly increasing, got {items!r}")
 
 
 @dataclass(frozen=True)
@@ -74,14 +67,3 @@ class Entry:
             raise ValueError("stored itemsets are non-empty")
         if self.err < 0 or self.err > self.count:
             raise ValueError(f"need 0 <= err <= count, got ({self.count}, {self.err})")
-
-
-def is_delta_covered(
-    sub: Items, sub_support: int, sup: Items, sup_support: int, delta: int
-) -> bool:
-    """True iff sub is within-delta covered by sup.
-
-    sub must be a subset of sup and sub's support may exceed sup's by at
-    most delta. Monotone in delta.
-    """
-    return sub_support <= sup_support + delta and set(sub).issubset(sup)

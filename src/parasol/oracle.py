@@ -6,7 +6,9 @@ engine, so differential tests against it are meaningful. Hard input-size
 guards keep the naivety honest.
 
 Supports are always recomputed from the raw stream; none of these
-functions ever trusts an engine estimate.
+functions ever trusts an engine estimate. The two predicates the checks
+are built on, `intersect` and `is_delta_covered`, live here too: the
+oracle is their only caller.
 """
 
 from __future__ import annotations
@@ -14,13 +16,32 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .itemsets import Entry, Items, Transaction, intersect, is_delta_covered
+from .itemsets import Entry, Items, Transaction
 
 MAX_UNIVERSE = 20  # power-set enumeration guard
 
 
 class UniverseTooLarge(ValueError):
     """The stream's item universe is too large for exhaustive enumeration."""
+
+
+def intersect(a: Items, b: Items) -> Items:
+    """Sorted intersection of two canonical itemsets; () when disjoint."""
+    if len(b) < len(a):
+        a, b = b, a
+    bs = set(b)
+    return tuple(x for x in a if x in bs)
+
+
+def is_delta_covered(
+    sub: Items, sub_support: int, sup: Items, sup_support: int, delta: int
+) -> bool:
+    """True iff sub is within-delta covered by sup.
+
+    sub must be a subset of sup and sub's support may exceed sup's by at
+    most delta. Monotone in delta.
+    """
+    return sub_support <= sup_support + delta and set(sub).issubset(sup)
 
 
 def true_support(stream: Sequence[Transaction], alpha: Items) -> int:

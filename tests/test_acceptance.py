@@ -17,13 +17,13 @@ from parasol import (
     burst_stream,
     delta_compress,
     enumerate_delta_closed,
-    intersect_step,
     process_transaction,
     replay,
     verify_delta_covered_set,
     write_fimi,
 )
 from parasol.cli import EXIT_OK, main
+from parasol.engine import intersect_step, rc_delete
 
 from helpers import DROP_ONE, DROP_ONE_PLUS, MaskModel, as_dict, random_streams
 
@@ -158,8 +158,6 @@ def test_c03_full_five_step_replay():
     t5 = DROP_ONE_PLUS[4]
     intersect_step(state.table, t5, state.delta)
     assert as_dict(state.snapshot())[(2, 5)] == (3, 0)  # the minimum about to go
-    from parasol import rc_delete
-
     delta = rc_delete(state.table, 3, state.delta)
     state.delta = delta
     after = as_dict(state.snapshot())

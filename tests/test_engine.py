@@ -9,15 +9,12 @@ from parasol import (
     StreamState,
     TimestampGap,
     Transaction,
-    intersect_step,
-    parasol_delete,
     process_transaction,
     query,
     random_stream,
-    rc_delete,
     replay,
 )
-from parasol.engine import answer
+from parasol.engine import answer, intersect_step, parasol_delete, rc_delete
 from parasol.oracle import enumerate_closed, verify_delta_covered_set
 from parasol.table import EntryTable
 

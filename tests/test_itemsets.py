@@ -2,15 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from parasol import (
-    Entry,
-    Transaction,
-    WeepingTree,
-    intersect,
-    is_delta_covered,
-    itemset,
-)
-from parasol.oracle import enumerate_fis
+from parasol import Entry, Transaction, WeepingTree, itemset
+from parasol.oracle import enumerate_fis, intersect, is_delta_covered
 from parasol.table import EntryTable
 
 from helpers import CHAIN5
@@ -71,13 +64,13 @@ def test_transaction_validation():
         Transaction((), 1)
     with pytest.raises(ValueError):
         Transaction((1,), 0)
-    for items in ((2, 1), (1, 1), (-1, 2)):
+    for items in ((2, 1), (1, 1), (-1, 2), [1, 2]):
         with pytest.raises(ValueError):
             Transaction(items, 1)
 
 
 def test_stores_reject_non_canonical_itemsets():
-    for items in ((2, 1), (-1, 2)):
+    for items in ((2, 1), (-1, 2), [1, 2]):
         table = EntryTable()
         with pytest.raises(ValueError):
             table.insert(items, 1, 0, 1, True)
