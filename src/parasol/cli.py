@@ -17,7 +17,7 @@ from . import compress as compress_mod
 from . import engine, fimi
 
 MODES = ("baseline", "parasol", "exact")
-BACKENDS = ("flat", "wtree")
+BACKENDS = tuple(engine.BACKENDS)
 COMPRESS = ("off", "flat", "two-step")
 
 EXIT_OK = 0

@@ -33,6 +33,10 @@ from .table import EntryTable, Store
 from .wtree import WeepingTree
 
 
+# the store classes by the names `StreamState.backend` and the CLI's --backend take
+BACKENDS: dict[str, type[Store]] = {"flat": EntryTable, "wtree": WeepingTree}
+
+
 class TimestampGap(ValueError):
     """Raised when a transaction's timestamp is not the next consecutive one."""
 
@@ -43,7 +47,7 @@ class StepStats:
 
     i: int
     pre_size: int  # entries before the update
-    intersections: int  # candidate intersections computed (<= pre_size + 1)
+    intersections: int  # overlaps computed, a new flat itemset's seed included (<= pre_size + 1)
     peak_size: int  # entries after the update, before eviction (<= 2k + 1)
     post_size: int  # entries after eviction (<= k)
     visits: int  # tree nodes touched; == intersections on the flat backend
@@ -73,12 +77,9 @@ class StreamState:
             raise ValueError("k must be a positive integer or math.inf")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError("epsilon must lie in [0, 1)")
-        if self.backend == "flat":
-            self.table = EntryTable()
-        elif self.backend == "wtree":
-            self.table = WeepingTree()
-        else:
+        if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
+        self.table = BACKENDS[self.backend]()
 
     def snapshot(self) -> list[Entry]:
         return self.table.snapshot()

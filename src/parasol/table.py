@@ -114,17 +114,18 @@ class EntryTable(Store):
     def update(self, items: Items, delta_prev: int, timestamp: int) -> tuple[int, int]:
         """Fold one transaction in; returns (visits, intersections) as the tree does.
 
-        If the transaction's itemset is new it is inserted first with estimate
-        (delta_prev, delta_prev) so it takes part in the intersection sweep;
-        its count therefore ends at delta_prev + 1. Every stored itemset with
-        a non-empty overlap contributes a candidate (overlap, count + 1, err);
+        The transaction is one candidate beside its overlaps: if its itemset
+        is new it seeds the candidate buffer with (delta_prev + 1,
+        delta_prev), as the tree's root does. Every stored itemset with a
+        non-empty overlap contributes a candidate (overlap, count + 1, err);
         colliding candidates keep the maximum count, breaking count ties
-        toward the smaller err. Candidates then replace or extend the table,
-        except that an entry predating this step keeps its own err when its
-        count rises by exactly one. The result has at most 2 * len + 1
-        entries; no eviction happens here. The sweep visits and intersects
-        every entry once, so both numbers are the table's size after the
-        fresh insert.
+        toward the smaller err, so the winner does not depend on the order
+        they arrive in. A new candidate is inserted at its final estimate,
+        and a stored entry takes the winner's, except that it keeps its own
+        err when its count rises by exactly one. The result has at most
+        2 * len + 1 entries; no eviction happens here. The sweep visits and
+        intersects every stored entry once, and the seed counts as one
+        more of each.
 
         Each overlap is `tuple(filter(inside, alpha))`, with `inside` bound
         once per update to the `__contains__` of a set of the transaction's
@@ -133,13 +134,12 @@ class EntryTable(Store):
         stays in.
         """
         index = self._index
-        fresh = items not in index
-        if fresh:
-            self.insert(items, delta_prev, delta_prev, timestamp, own=True)
-
-        swept = len(index)
-        inside = set(items).__contains__
+        # the seed is the buffer's first key: a new entry precedes its spawn
         buf: dict[Items, tuple[int, int]] = {}
+        if items not in index:
+            buf[items] = (delta_prev + 1, delta_prev)
+        swept = len(index) + len(buf)
+        inside = set(items).__contains__
         for alpha, rec in index.items():
             beta = tuple(filter(inside, alpha))
             if not beta:
@@ -152,9 +152,9 @@ class EntryTable(Store):
         for beta, (count, err) in buf.items():
             rec = index.get(beta)
             if rec is None:
-                self.insert(beta, count, err, timestamp, own=False)
+                self.insert(beta, count, err, timestamp, own=beta == items)
                 continue
-            if count != rec.count + 1 or (fresh and beta == items):
+            if count != rec.count + 1:
                 rec.err = err
             rec.count = count
         return swept, swept

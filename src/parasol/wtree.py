@@ -27,10 +27,11 @@ shortcuts:
   children, rebuilt at each call; an evicted node's children take its
   slot under the root. Eviction is the only way a node leaves the tree.
 
-A node is the flat store's `Record` with parent and child links added,
-and the tree keeps its nodes in the same `Store` index the flat table
-uses, so size, membership, lookup and snapshot are one implementation
-for both backends; only the update walk and eviction differ. A tree
+A node is the flat store's `Record` with its itemset and child links
+added, and no parent link: nothing walks up the tree. The tree keeps
+its nodes in the same `Store` index the flat table uses, so size,
+membership, lookup and snapshot are one implementation for both
+backends; only the update walk and eviction differ. A tree
 built by `update` (and trimmed by `delete_minima`) is behaviourally
 identical to `EntryTable`: after any prefix of the stream both hold the
 same entries and the same error. Nodes never materialize their
@@ -50,14 +51,13 @@ from .table import Record, Store
 class WNode(Record):
     """A stored entry's record, plus its itemset and its place in the tree."""
 
-    __slots__ = ("alpha", "parent", "children")
+    __slots__ = ("alpha", "children")
 
     def __init__(
         self, alpha: Items, count: int, err: int, birth: int, own: bool
     ) -> None:
         Record.__init__(self, count, err, birth, own)
         self.alpha = alpha
-        self.parent: WNode | None = None
         self.children: list[WNode] = []
 
 
@@ -183,7 +183,6 @@ class WeepingTree(Store):
         self, parent: WNode, alpha: Items, count: int, err: int, birth: int, own: bool
     ) -> WNode:
         node = WNode(alpha, count, err, birth, own)
-        node.parent = parent
         parent.children.append(node)  # right-most keeps sibling order by age
         self._index[alpha] = node
         return node
@@ -212,7 +211,6 @@ class WeepingTree(Store):
         slot = root.children.index(node)
         root.children[slot : slot + 1] = node.children
         for child in node.children:
-            child.parent = root
             heapq.heappush(self._heap, (child.count, child.birth, child.own, child.alpha))
 
     # -- debugging -------------------------------------------------------

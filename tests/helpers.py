@@ -91,26 +91,39 @@ def covers(x_bits, y_bits) -> bool:
     return all(y[j] == x[j] for j in range(last))
 
 
-def check_tree_shape(tree) -> None:
-    """Assert the weeping tree's structural invariants.
+def check_invariants(state) -> None:
+    """Assert the structural invariants of a `StreamState`'s store.
 
-    The nodes reachable from the root are exactly the index, every parent
-    link matches, and each child's itemset is a proper subset of its
-    parent's and its count at least its parent's.
+    On both stores every record has 0 <= err <= count, and every stored
+    count is at least `state.delta`: eviction pops minima and counts only
+    rise. The flat store keeps one heap key per record, and no key's count
+    is above its record's. In the weeping tree the nodes reachable from
+    the root are exactly the index, and each child's itemset is a proper
+    subset of its parent's and its count at least its parent's.
     """
-    seen = 0
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        for child in node.children:
-            assert child.parent is node, (child.alpha, node.alpha)
-            assert tree._index.get(child.alpha) is child, child.alpha
-            if node is not tree.root:
-                assert set(child.alpha) < set(node.alpha), (child.alpha, node.alpha)
-                assert child.count >= node.count, (child.alpha, node.alpha)
-            seen += 1
-            stack.append(child)
-    assert seen == len(tree._index)
+    table = state.table
+    index = table._index
+    for alpha, rec in index.items():
+        assert 0 <= rec.err <= rec.count, (alpha, rec.count, rec.err)
+        assert rec.count >= state.delta, (alpha, rec.count, state.delta)
+    if isinstance(table, WeepingTree):
+        seen = 0
+        stack = [table.root]
+        while stack:
+            node = stack.pop()
+            for child in node.children:
+                assert index.get(child.alpha) is child, child.alpha
+                if node is not table.root:
+                    assert set(child.alpha) < set(node.alpha), (child.alpha, node.alpha)
+                    assert child.count >= node.count, (child.alpha, node.alpha)
+                seen += 1
+                stack.append(child)
+        assert seen == len(index)
+    else:
+        assert len(table._heap) == len(index)
+        assert {alpha for _, _, _, alpha in table._heap} == index.keys()
+        for count, _, _, alpha in table._heap:
+            assert count <= index[alpha].count, (alpha, count, index[alpha].count)
 
 
 def check_walk_visits(tree, visits: int) -> None:

@@ -51,7 +51,8 @@ class TestIntersectStep:
                 ((5,), 4, 0, 4, False),
             ]
         )
-        # the fresh (1, 3, 5) joins the sweep: four entries visited and intersected
+        # the new (1, 3, 5) seeds the buffer: three stored entries swept, and
+        # the seed counts as a fourth visit and intersection
         assert intersect_step(t, Transaction((1, 3, 5), 5), 3) == (4, 4)
         assert as_dict(t.snapshot()) == {
             (5,): (5, 0),
@@ -93,6 +94,15 @@ class TestIntersectStep:
         intersect_step(t, Transaction((1, 2), 1), 0)
         assert intersect_step(t, Transaction((1, 2), 2), 0) == (1, 1)
         assert as_dict(t.snapshot()) == {(1, 2): (2, 0)}
+
+    def test_new_entry_is_keyed_at_its_count(self):
+        # the new (1,) seeds (4, 3), and the stored superset's candidate
+        # (5, 3) beats it; either way the key is pushed at the final count
+        t = EntryTable()
+        t.update((1, 2), 3, 1)
+        t.update((1,), 3, 2)
+        assert sorted(t._heap) == [(4, 1, 0, (1, 2)), (5, 2, 0, (1,))]
+        assert as_dict(t.snapshot()) == {(1, 2): (4, 3), (1,): (5, 3)}
 
 
 class TestDeletion:

@@ -10,7 +10,7 @@ import random
 
 from parasol import StreamState, Transaction, process_transaction, random_stream
 
-from helpers import GRID, check_tree_shape, random_streams, sparse
+from helpers import GRID, check_invariants, random_streams, sparse
 
 
 def test_backends_agree_stepwise():
@@ -21,7 +21,8 @@ def test_backends_agree_stepwise():
             for t in stream:
                 process_transaction(flat, t)
                 process_transaction(tree, t)
-                check_tree_shape(tree.table)
+                check_invariants(flat)
+                check_invariants(tree)
                 assert flat.delta == tree.delta, (sid, k, eps, t.timestamp)
                 assert flat.snapshot() == tree.snapshot(), (sid, k, eps, t.timestamp)
 
@@ -38,7 +39,8 @@ def test_backends_agree_stepwise_on_long_streams():
                 for t in stream:
                     process_transaction(flat, t)
                     process_transaction(tree, t)
-                    check_tree_shape(tree.table)
+                    check_invariants(flat)
+                    check_invariants(tree)
                     assert flat.delta == tree.delta, (seed, k, eps, t)
                     assert flat.snapshot() == tree.snapshot(), (seed, k, eps, t)
 
