@@ -1,16 +1,16 @@
 """Entry storage: one record index and one eviction loop for both backends.
 
-Every stored itemset maps to a `Record` (count, err, birth, own) where
-birth is the timestamp the entry was (re)created and own marks entries
-born as the arriving transaction's own itemset. `Store` owns that index,
-answers every read (size, membership, lookup, snapshot) and pops minima
-in one eviction loop for both backends; `EntryTable` adds the flat
-update sweep and keeps one heap key per record across calls, and the
-weeping tree adds spanning-tree links to the same records and rebuilds
-the heap from the root's children at each call. Eviction order is
-(count, birth, own-first, itemset): lowest count first and oldest first
-among ties; the own-first bit reproduces the fact that a transaction's
-fresh entry is inserted before the candidates it spawns.
+Every stored itemset maps to a `Record` (count, err, rank), where rank
+is (birth, not own, itemset): birth is the timestamp the entry was
+(re)created and own marks an entry born as the arriving transaction's
+own itemset. `Store` owns that index, answers every read (size,
+membership, lookup, snapshot) and pops minima over (count, rank) heap
+keys in one eviction loop for both backends; `EntryTable` adds the flat
+update sweep and keeps one key per record across calls, and the weeping
+tree adds child links to the same records and rebuilds the heap from
+the root's children at each call. So eviction takes the lowest count
+first and the oldest first among ties; the own-first bit reproduces the
+fact that a transaction's fresh entry is inserted before its spawn.
 """
 
 from __future__ import annotations
@@ -22,22 +22,21 @@ from .itemsets import Entry, Items, require_canonical
 
 
 class Record:
-    """One entry's estimate and age; its itemset is the key it is stored under."""
+    """One entry's estimate and its rank among entries of equal count."""
 
-    __slots__ = ("count", "err", "birth", "own")
+    __slots__ = ("count", "err", "rank")
 
-    def __init__(self, count: int, err: int, birth: int, own: bool) -> None:
+    def __init__(self, alpha: Items, count: int, err: int, birth: int, own: bool) -> None:
         self.count = count
         self.err = err
-        self.birth = birth
-        self.own = 0 if own else 1  # transaction-born entries evict first among ties
+        self.rank = (birth, not own, alpha)  # the one place the tie order is written
 
 
 class Store:
     """An index from itemset to record, its reads, and its eviction loop.
 
-    Subclasses write through `update(items, delta_prev, timestamp)` and
-    fill `_heap` with one (count, birth, own, itemset) key per keyed
+    `update(items, delta_prev, timestamp)` is each subclass's only
+    public write; it fills `_heap` with one (count, rank) key per keyed
     record. A key may lag a raised count, never lead it, and leaves only
     with its record: the loop re-keys a lagging top key, so a top key
     that matches its record is the true minimum.
@@ -47,7 +46,7 @@ class Store:
 
     def __init__(self) -> None:
         self._index: dict[Items, Record] = {}
-        self._heap: list[tuple[int, int, int, Items]] = []
+        self._heap: list[tuple[int, tuple[int, bool, Items]]] = []
 
     def __len__(self) -> int:
         return len(self._index)
@@ -60,15 +59,15 @@ class Store:
         return None if rec is None else Entry(alpha, rec.count, rec.err)
 
     def snapshot(self, above: float = -math.inf) -> list[Entry]:
-        """Immutable entries with count > above, in canonical (birth,
-        own-first, itemset) order; by default every entry.
+        """Immutable entries with count > above, in rank order; by
+        default every entry.
 
         The read filters before it sorts: one pass over the index keeps
         the m records that clear the threshold, and only those are sorted
         and built into entries, so a read costs O(len + m log m).
         """
-        rows = [(r.birth, r.own, a, r) for a, r in self._index.items() if r.count > above]
-        rows.sort()  # itemsets are unique, so the record itself is never compared
+        rows = [r.rank + (r,) for r in self._index.values() if r.count > above]
+        rows.sort()  # flat rows sort faster than (rank, record) pairs; ranks are unique
         return [Entry(alpha, rec.count, rec.err) for _, _, alpha, rec in rows]
 
     def delete_minima(self, k: float, floor: float, delta_prev: int) -> int:
@@ -78,15 +77,15 @@ class Store:
         index, heap = self._index, self._heap
         delta = delta_prev
         while heap:
-            count, birth, own, alpha = heap[0]
-            rec = index[alpha]
+            count, rank = heap[0]
+            rec = index[rank[2]]
             if rec.count != count:  # raised since it was keyed
-                heapq.heapreplace(heap, (rec.count, birth, own, alpha))
+                heapq.heapreplace(heap, (rec.count, rank))
                 continue
             if len(index) <= k and count > floor:
                 break
             heapq.heappop(heap)
-            del index[alpha]
+            del index[rank[2]]
             delta = max(delta, count)
             self._evicted(rec)
         return delta
@@ -98,18 +97,15 @@ class Store:
 class EntryTable(Store):
     """Bounded collection of entries keyed uniquely by itemset.
 
-    Only `insert` pushes a key, and the heap outlives each call: a count
+    `update` is the only write, and the heap outlives each call: a count
     only rises, since an entry's own overlap is one of its candidates.
     """
 
     __slots__ = ()
 
-    def insert(self, alpha: Items, count: int, err: int, birth: int, own: bool) -> None:
-        require_canonical(alpha)
-        if alpha in self._index:
-            raise KeyError(f"duplicate entry for {alpha}")
-        rec = self._index[alpha] = Record(count, err, birth, own)
-        heapq.heappush(self._heap, (count, birth, rec.own, alpha))
+    def _insert(self, alpha: Items, count: int, err: int, birth: int, own: bool) -> None:
+        rec = self._index[alpha] = Record(alpha, count, err, birth, own)
+        heapq.heappush(self._heap, (count, rec.rank))
 
     def update(self, items: Items, delta_prev: int, timestamp: int) -> tuple[int, int]:
         """Fold one transaction in; returns (visits, intersections) as the tree does.
@@ -131,8 +127,10 @@ class EntryTable(Store):
         once per update to the `__contains__` of a set of the transaction's
         items. The filter keeps alpha's sorted order, so the overlap is
         canonical, and it tests membership rather than truth, so item 0
-        stays in.
+        stays in. A new candidate is items or an overlap, so once items is
+        checked it is canonical and is stored as it is.
         """
+        require_canonical(items)
         index = self._index
         # the seed is the buffer's first key: a new entry precedes its spawn
         buf: dict[Items, tuple[int, int]] = {}
@@ -152,7 +150,7 @@ class EntryTable(Store):
         for beta, (count, err) in buf.items():
             rec = index.get(beta)
             if rec is None:
-                self.insert(beta, count, err, timestamp, own=beta == items)
+                self._insert(beta, count, err, timestamp, own=beta == items)
                 continue
             if count != rec.count + 1:
                 rec.err = err

@@ -56,8 +56,8 @@ class WNode(Record):
     def __init__(
         self, alpha: Items, count: int, err: int, birth: int, own: bool
     ) -> None:
-        Record.__init__(self, count, err, birth, own)
-        self.alpha = alpha
+        Record.__init__(self, alpha, count, err, birth, own)
+        self.alpha = alpha  # also rank[2], but the walk reads it at every visit
         self.children: list[WNode] = []
 
 
@@ -193,12 +193,12 @@ class WeepingTree(Store):
         """Pop minimum entries while size > k or count <= floor.
 
         Minima always sit in the shallowest layer, so the shared `Store`
-        loop runs over a heap rebuilt from the root's children. No key
-        lags its node, so the loop never re-keys here: a node enters the
-        heap once and no count changes during the call. Returns the new
+        loop runs over (count, rank) keys rebuilt from the root's children.
+        No key lags its node, so the loop never re-keys here: a node enters
+        the heap once and no count changes during the call. Returns the new
         max error.
         """
-        self._heap = [(c.count, c.birth, c.own, c.alpha) for c in self.root.children]
+        self._heap = [(c.count, c.rank) for c in self.root.children]
         heapq.heapify(self._heap)
         return super().delete_minima(k, floor, delta_prev)
 
@@ -211,7 +211,7 @@ class WeepingTree(Store):
         slot = root.children.index(node)
         root.children[slot : slot + 1] = node.children
         for child in node.children:
-            heapq.heappush(self._heap, (child.count, child.birth, child.own, child.alpha))
+            heapq.heappush(self._heap, (child.count, child.rank))
 
     # -- debugging -------------------------------------------------------
 
@@ -222,6 +222,6 @@ class WeepingTree(Store):
         while stack:
             node, depth = stack.pop()
             label = " ".join(str(x) for x in node.alpha)
-            lines.append(f"{'  ' * depth}{label}\t{node.count}\t{node.err}\t{node.birth}")
+            lines.append(f"{'  ' * depth}{label}\t{node.count}\t{node.err}\t{node.rank[0]}")
             stack.extend((child, depth + 1) for child in reversed(node.children))
         return "\n".join(lines)

@@ -73,7 +73,7 @@ def test_stores_reject_non_canonical_itemsets():
     for items in ((2, 1), (-1, 2), [1, 2]):
         table = EntryTable()
         with pytest.raises(ValueError):
-            table.insert(items, 1, 0, 1, True)
+            table.update(items, 0, 1)
         tree = WeepingTree()
         with pytest.raises(ValueError):
             tree.update(items, 0, 1)
