@@ -2,16 +2,17 @@
 
 An entry e1 can be dropped whenever some superset entry e2 satisfies
 e1.count <= e2.count - e2.err + delta_n: the survivor then provably
-covers the dropped itemset within delta_n. In exchange e2 absorbs e1's
-estimate (count := e1.count, err widened by the difference), which keeps
-e2's bracket valid and leaves its count - err pivot unchanged, so
-absorption never creates new qualifying pairs, only removes entries.
-The output is therefore still a delta_n-covered summary of the frequent
-itemsets, never larger than the input.
+covers the dropped itemset within delta_n. In exchange e2 keeps the
+larger count and widens its err by any rise (`_absorb`), so its bracket
+stays valid, its count - err pivot is kept and no count falls. So
+absorption never creates new qualifying pairs, and an absorber's count
+stays at least that of everything it absorbed: the output still
+delta_n-covers the frequent itemsets, after a sigma filter too, and is
+never larger than the input.
 
-Both absorption rules live here: `delta_compress` tries every pair, and
-`precompress_scan` tries only the weeping tree's parent-child edges.
-Neither touches the store it reads, so a stream can go on after either.
+`delta_compress` tries every pair and `precompress_scan` only the
+weeping tree's parent-child edges. Neither touches the store it reads,
+so a stream can go on after either.
 """
 
 from __future__ import annotations
@@ -30,37 +31,35 @@ def _qualifies(e1: Entry, e2: Entry, delta_n: int) -> bool:
     )
 
 
+def _absorb(count: int, err: int, taken: int) -> tuple[int, int]:
+    """An absorber's (count, err) on taking `taken`: the larger count, err widened by the rise."""
+    top = max(count, taken)
+    return top, err + top - count
+
+
 def delta_compress(entries: Iterable[Entry], delta_n: int) -> list[Entry]:
     """Pairwise compaction by repeated absorption until no pair qualifies.
 
     Candidates for removal are tried in descending count (ties: input
     order, which callers supply oldest-first); the absorbing superset is
-    the qualifying entry with the highest count (same tie rule). Order
-    matters for which survivors remain, so it is fixed for reproducible
-    output. Quadratic per pass over at most len(entries) passes; this is
-    an offline step on a bounded table.
+    the first qualifying entry with the highest count. Order matters for
+    which survivors remain, so it is fixed for reproducible output.
+    Quadratic per pass over at most len(entries) passes; this is an
+    offline step on a bounded table.
     """
     pool: list[Entry] = list(entries)
-    changed = True
-    while changed:
-        changed = False
-        order = sorted(range(len(pool)), key=lambda j: (-pool[j].count, j))
-        for j in order:
+    while True:
+        for j in sorted(range(len(pool)), key=lambda j: (-pool[j].count, j)):
             e1 = pool[j]
-            best = -1
-            for m, e2 in enumerate(pool):
-                if _qualifies(e1, e2, delta_n) and (
-                    best < 0
-                    or e2.count > pool[best].count
-                ):
-                    best = m
-            if best >= 0:
-                e2 = pool[best]
-                pool[best] = Entry(e2.alpha, e1.count, e2.err + e1.count - e2.count)
+            found = [m for m, e2 in enumerate(pool) if _qualifies(e1, e2, delta_n)]
+            if found:
+                m = max(found, key=lambda m: pool[m].count)
+                e2 = pool[m]
+                pool[m] = Entry(e2.alpha, *_absorb(e2.count, e2.err, e1.count))
                 del pool[j]
-                changed = True
                 break
-    return pool
+        else:
+            return pool
 
 
 def precompress_scan(tree: WeepingTree, delta_n: int) -> list[Entry]:
@@ -68,8 +67,8 @@ def precompress_scan(tree: WeepingTree, delta_n: int) -> list[Entry]:
 
     A child is absorbed when its count <= parent.count - parent.err +
     delta_n (its itemset is a subset of the parent's by construction, so
-    the parent covers it within delta_n). The parent takes the child's
-    count and widens its err by the difference. Nodes are visited in
+    the parent covers it within delta_n). The parent keeps the larger
+    count and widens its err by any rise. Nodes are visited in
     reverse depth-first order, so each node's estimate is final before
     its parent tests it, and each parent tests its children left to
     right. Each edge is tested once: an absorbed child's children are not
@@ -88,7 +87,7 @@ def precompress_scan(tree: WeepingTree, delta_n: int) -> list[Entry]:
             child_count = est[child.alpha][0]
             if child_count <= ceiling:
                 del est[child.alpha]
-                count, err = child_count, err + child_count - count
+                count, err = _absorb(count, err, child_count)
         est[node.alpha] = count, err
     return [Entry(e.alpha, *est[e.alpha]) for e in tree.snapshot() if e.alpha in est]
 

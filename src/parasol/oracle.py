@@ -3,7 +3,10 @@
 Everything here is deliberately naive (power-set candidate generation,
 quadratic pairwise checks) and shares no code with the streaming
 engine, so differential tests against it are meaningful. Hard input-size
-guards keep the naivety honest.
+guards keep the naivety honest. The one exception is
+`enumerate_fis_tidsets`, a tid-set enumerator of the frequent itemsets
+that works on any alphabet; tests check it against `enumerate_fis`, and
+`verify_delta_covered_set` uses it.
 
 Supports are always recomputed from the raw stream; none of these
 functions ever trusts an engine estimate. The two predicates the checks
@@ -78,6 +81,31 @@ def enumerate_fis(stream: Sequence[Transaction], sigma: float) -> dict[Items, in
     return out
 
 
+def enumerate_fis_tidsets(stream: Sequence[Transaction], sigma: float) -> dict[Items, int]:
+    """`enumerate_fis` by depth-first tid-set intersection (Eclat), for any alphabet.
+
+    Each item's tid-set is a bit mask over transaction positions. An
+    itemset is extended only by larger items, and only while the
+    intersected tid-set stays above sigma * n, so the work follows the
+    frequent itemsets rather than the alphabet.
+    """
+    threshold = sigma * len(stream)
+    tids: dict[int, int] = {}
+    for pos, t in enumerate(stream):
+        for x in t.items:
+            tids[x] = tids.get(x, 0) | 1 << pos
+    out: dict[Items, int] = {}
+    stack = [((), sorted((x, m) for x, m in tids.items() if m.bit_count() > threshold))]
+    while stack:
+        prefix, tail = stack.pop()
+        for j, (x, mask) in enumerate(tail):
+            alpha = prefix + (x,)
+            out[alpha] = mask.bit_count()
+            grown = [(y, mask & other) for y, other in tail[j + 1 :]]
+            stack.append((alpha, [(y, m) for y, m in grown if m.bit_count() > threshold]))
+    return out
+
+
 def enumerate_closed(stream: Sequence[Transaction]) -> dict[Items, int]:
     """Exact closed itemsets with their supports.
 
@@ -134,11 +162,12 @@ def verify_delta_covered_set(
     """Check that every frequent itemset is delta-covered by some output itemset.
 
     Coverage is judged on true supports. `output` may be entries or bare
-    itemsets; counts in entries are ignored on purpose.
+    itemsets; counts in entries are ignored on purpose. The frequent
+    itemsets come from `enumerate_fis_tidsets`, so any alphabet will do.
     """
     alphas = [e.alpha if isinstance(e, Entry) else tuple(e) for e in output]
     sup = {beta: true_support(stream, beta) for beta in alphas}
-    for alpha, s_alpha in enumerate_fis(stream, sigma).items():
+    for alpha, s_alpha in enumerate_fis_tidsets(stream, sigma).items():
         if not any(
             is_delta_covered(alpha, s_alpha, beta, sup[beta], delta) for beta in alphas
         ):

@@ -12,6 +12,8 @@ Streams used repeatedly:
   cover-predicate and delta-closed examples.
 
 GRID is the (k, epsilon) grid of the stepwise backend comparison.
+`zipf_stream` draws sparse baskets over a wide alphabet, past what the
+power-set oracle can enumerate.
 `sparse` maps a stream over ids 1-9 onto SPARSE_IDS, which start at 0.
 `covers` is the address-level covering predicate the tree's address
 tests reason with.
@@ -23,10 +25,11 @@ quickly; they are test-side only.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
-from parasol import Entry, Transaction, WeepingTree, random_stream
+from parasol import Entry, Transaction, WeepingTree, itemset, random_stream
 
 UNIVERSE5 = (1, 2, 3, 4, 5)
 
@@ -71,6 +74,20 @@ def random_streams(count: int, base_seed: int = 0, max_n: int = 12, max_universe
     for s in range(count):
         rng = random.Random(base_seed + s)
         yield s, random_stream(rng, rng.randint(1, max_n), rng.randint(2, max_universe), 7)
+
+
+def zipf_stream(seed: int, ids: int, n: int) -> list[Transaction]:
+    """n baskets of Zipf(s=1) items over ids 0..ids-1, lengths 1 + Exp(mean 1/0.15) capped at 30."""
+    rng = random.Random(seed)
+    cum = list(itertools.accumulate(1.0 / rank for rank in range(1, ids + 1)))
+    out = []
+    for ts in range(1, n + 1):
+        length = min(30, 1 + int(rng.expovariate(0.15)))
+        items: set[int] = set()
+        while len(items) < length:
+            items.add(rng.choices(range(ids), cum_weights=cum)[0])
+        out.append(Transaction(itemset(items), ts))
+    return out
 
 
 def covers(x_bits, y_bits) -> bool:

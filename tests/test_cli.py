@@ -1,10 +1,11 @@
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from parasol import Transaction, write_fimi
+from parasol import Entry, Transaction, burst_stream, itemset, random_stream, write_fimi
 from parasol.cli import (
     BACKENDS,
     COMPRESS,
@@ -16,8 +17,9 @@ from parasol.cli import (
     build_parser,
     main,
 )
+from parasol.oracle import true_support, verify_delta_covered_set
 
-from helpers import DROP_ONE, DROP_ONE_PLUS
+from helpers import DROP_ONE, DROP_ONE_PLUS, zipf_stream
 
 
 @pytest.fixture
@@ -30,6 +32,15 @@ def drop_one_file(tmp_path):
 
 def run_cli(args):
     return main(args)
+
+
+def read_result(path) -> list[Entry]:
+    """The rows of a result table the CLI wrote."""
+    rows = []
+    for line in path.read_text().splitlines():
+        items, count, err = line.split("\t")
+        rows.append(Entry(itemset(map(int, items.split())), int(count), int(err)))
+    return rows
 
 
 def test_exact_mode_row_count(drop_one_file, tmp_path, capsys):
@@ -117,6 +128,74 @@ def test_k_n_is_the_mined_size_whatever_the_compression(tmp_path, capsys):
         assert code == EXIT_OK
         sizes[comp] = json.loads(capsys.readouterr().out)["k_n"]
     assert sizes == {"off": 11, "flat": 11, "two-step": 11}
+
+
+def test_compression_keeps_a_cover_of_a_frequent_singleton(tmp_path):
+    # (4,) has support 11 > sigma * n = 10, and delta = 6 <= 10, so every
+    # route must write a superset of it: its absorber's count must not
+    # fall to the threshold when it takes a smaller estimate.
+    rng = random.Random(55)
+    stream = random_stream(rng, rng.randint(20, 80), rng.randint(6, 12), rng.randint(3, 8))
+    path = tmp_path / "stream.dat"
+    with open(path, "w") as fh:
+        write_fimi(stream, fh)
+    assert true_support(stream, (4,)) == 11
+    tables = {}
+    for comp in COMPRESS:
+        out = tmp_path / f"{comp}.tsv"
+        code = run_cli(
+            [
+                "--input", str(path),
+                "--mode", "baseline",
+                "--k", "12",
+                "--sigma", "0.4",
+                "--backend", "wtree",
+                "--compress", comp,
+                "--out", str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        tables[comp] = read_result(out)
+    assert tables["off"] == [Entry((4,), 11, 0)]
+    assert tables["flat"] == tables["two-step"] == [Entry((2, 4), 11, 6)]
+
+
+# options per input: alphabets of 851 and 38 items, where the
+# power-set oracle cannot enumerate, and delta <= sigma * n on both
+WIDE = {
+    "sparse": ["--mode", "parasol", "--epsilon", "0.005", "--k", "200", "--sigma", "0.04"],
+    "burst": ["--mode", "parasol", "--epsilon", "0.005", "--k", "150", "--sigma", "0.08"],
+}
+# every --compress route on every backend that takes it
+ROUTES = [(b, c) for b in BACKENDS for c in COMPRESS if c != "two-step" or b == "wtree"]
+
+
+@pytest.mark.parametrize("source", sorted(WIDE))
+def test_every_route_covers_the_frequent_itemsets_of_a_wide_alphabet(source, tmp_path, capsys):
+    if source == "sparse":
+        stream = zipf_stream(11, 2000, 400)
+    else:
+        stream = burst_stream(11, calm_len=160, burst_len=40, tail_len=280)
+    path = tmp_path / "stream.dat"
+    with open(path, "w") as fh:
+        write_fimi(stream, fh)
+    sigma = float(WIDE[source][-1])
+    for backend, comp in ROUTES:
+        out = tmp_path / "result.tsv"
+        code = run_cli(
+            [
+                "--input", str(path), *WIDE[source],
+                "--backend", backend, "--compress", comp,
+                "--out", str(out), "--summary-json",
+            ]
+        )
+        assert code == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert not summary["weak_guarantee"]
+        rows = read_result(out)
+        for e in rows:
+            assert e.count - e.err <= true_support(stream, e.alpha) <= e.count, (backend, comp, e)
+        assert verify_delta_covered_set(rows, stream, sigma, summary["delta"]), (backend, comp)
 
 
 def test_summary_json(drop_one_file, capsys):

@@ -9,13 +9,14 @@ alters an output on purpose updates that file and says why.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import random
 from pathlib import Path
 
-from parasol import Transaction, burst_stream, itemset, random_stream, write_fimi
+from parasol import burst_stream, random_stream, write_fimi
 from parasol.cli import EXIT_OK, main
+
+from helpers import zipf_stream
 
 DIGESTS = Path(__file__).parent / "data" / "cli_outputs.json"
 
@@ -43,20 +44,6 @@ RUNS = [
     ("burst", BURST, "wtree", "off"),
     ("burst", BURST, "wtree", "two-step"),
 ]
-
-
-def zipf_stream(seed: int, ids: int, n: int) -> list[Transaction]:
-    """n baskets of Zipf(s=1) items over ids 0..ids-1, lengths 1 + Exp(mean 1/0.15) capped at 30."""
-    rng = random.Random(seed)
-    cum = list(itertools.accumulate(1.0 / rank for rank in range(1, ids + 1)))
-    out = []
-    for ts in range(1, n + 1):
-        length = min(30, 1 + int(rng.expovariate(0.15)))
-        items: set[int] = set()
-        while len(items) < length:
-            items.add(rng.choices(range(ids), cum_weights=cum)[0])
-        out.append(Transaction(itemset(items), ts))
-    return out
 
 
 def _sha(data: bytes) -> str:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -7,12 +8,43 @@ from parasol import (
     compress_two_step,
     delta_compress,
     process_transaction,
+    random_stream,
     replay,
 )
 from parasol.compress import precompress_scan
-from parasol.oracle import enumerate_closed, verify_delta_covered_set
+from parasol.engine import answer
+from parasol.oracle import enumerate_closed, true_support, verify_delta_covered_set
 
 from helpers import DROP_ONE, DROP_ONE_PLUS, as_dict, random_streams
+
+
+SIGMAS = (0.1, 0.2, 0.3, 0.4, 0.5)
+
+
+def covering_cases(count: int, base_seed: int):
+    """(stream, k) pairs: `count` seeded streams of 20-80 transactions over
+    6-12 items, each at k = 4, 6, 8 and 12. These are sizes at which an
+    absorber that took a lower count broke covering in a few percent of
+    the (stream, sigma) cases."""
+    for s in range(count):
+        rng = random.Random(base_seed + s)
+        stream = random_stream(rng, rng.randint(20, 80), rng.randint(6, 12), rng.randint(3, 8))
+        for k in (4, 6, 8, 12):
+            yield stream, k
+
+
+def check_compressed(out, stream, delta: int) -> None:
+    """Every entry's bracket holds, and `out` delta-covers the frequent
+    itemsets at each sigma of SIGMAS, and at (delta + 1) / n, for which
+    delta <= sigma * n: both as it is and after the CLI's sigma filter."""
+    n = len(stream)
+    for e in out:
+        assert e.count - e.err <= true_support(stream, e.alpha) <= e.count, e
+    for sigma in (*SIGMAS, (delta + 1) / n):
+        if delta <= sigma * n <= n:
+            assert verify_delta_covered_set(out, stream, sigma, delta), (sigma, delta)
+            written = answer(out, sigma, n, delta).entries
+            assert verify_delta_covered_set(written, stream, sigma, delta), (sigma, delta)
 
 
 def test_worked_example_absorbs_singleton():
@@ -32,15 +64,13 @@ def test_zero_delta_drops_exactly_non_closed_entries():
 
 
 def test_compression_is_size_monotone_and_sound():
-    for _, stream in random_streams(40, base_seed=17):
-        state = replay(stream, k=4)
+    small = ((stream, 4) for _, stream in random_streams(40, base_seed=17))
+    for stream, k in itertools.chain(small, covering_cases(100, base_seed=5_000)):
+        state = replay(stream, k=k)
         snap = state.snapshot()
         out = delta_compress(snap, state.delta)
         assert len(out) <= len(snap)
-        n = len(stream)
-        sigma = 0.5 if state.delta <= 0.5 * n else (state.delta + 1) / n
-        if sigma <= 1 and state.delta <= sigma * n:
-            assert verify_delta_covered_set(out, stream, sigma, state.delta)
+        check_compressed(out, stream, state.delta)
 
 
 def test_compressed_entries_keep_support_brackets():
@@ -74,15 +104,13 @@ def test_two_step_identity_when_nothing_qualifies():
 
 
 def test_two_step_sound_and_size_monotone():
-    for _, stream in random_streams(40, base_seed=53):
-        state = replay(stream, k=4, backend="wtree")
+    small = ((stream, 4) for _, stream in random_streams(40, base_seed=53))
+    for stream, k in itertools.chain(small, covering_cases(100, base_seed=6_000)):
+        state = replay(stream, k=k, backend="wtree")
         size_before = len(state.table)
         out = compress_two_step(state.table, state.delta)
         assert len(out) <= size_before
-        n = len(stream)
-        sigma = 0.5 if state.delta <= 0.5 * n else (state.delta + 1) / n
-        if sigma <= 1 and state.delta <= sigma * n:
-            assert verify_delta_covered_set(out, stream, sigma, state.delta)
+        check_compressed(out, stream, state.delta)
 
 
 def test_prescan_removes_a_positive_fraction_on_dense_input():

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
-from parasol import Transaction, UniverseTooLarge, replay
+from parasol import Transaction, UniverseTooLarge, random_stream, replay
 from parasol.oracle import (
+    MAX_UNIVERSE,
     enumerate_closed,
     enumerate_delta_closed,
     enumerate_fis,
+    enumerate_fis_tidsets,
     true_support,
     verify_delta_covered_set,
 )
@@ -39,6 +43,23 @@ def test_enumerate_fis_guards_universe():
     stream = [Transaction(tuple(range(25)), 1)]
     with pytest.raises(UniverseTooLarge):
         enumerate_fis(stream, 0.0)
+
+
+def test_tidset_enumeration_matches_the_power_set():
+    # alphabets up to the power-set guard, thresholds from every itemset
+    # with support > 0 up to sigma = 1
+    assert enumerate_fis_tidsets(DROP_ONE_PLUS, 0.6) == enumerate_fis(DROP_ONE_PLUS, 0.6)
+    for s in range(40):
+        rng = random.Random(900 + s)
+        stream = random_stream(rng, rng.randint(1, 40), rng.randint(1, MAX_UNIVERSE), 6)
+        for sigma in (0.0, 0.05, 0.1, 0.25, 0.5, 1.0):
+            assert enumerate_fis_tidsets(stream, sigma) == enumerate_fis(stream, sigma), (s, sigma)
+
+
+def test_tidset_enumeration_takes_a_wide_alphabet():
+    stream = [Transaction(tuple(range(25)), 1), Transaction((3, 24, 10**9), 2)]
+    # 26 items: past the power-set guard, which enumerate_fis raises on
+    assert enumerate_fis_tidsets(stream, 0.5) == {(3,): 2, (24,): 2, (3, 24): 2}
 
 
 def test_enumerate_closed_counts():
