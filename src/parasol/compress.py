@@ -96,8 +96,8 @@ def compress_two_step(tree: WeepingTree, delta_n: int) -> list[Entry]:
     """Linear parent-child absorption pass, then full pairwise compaction.
 
     Both steps preserve the covering guarantee and leave the tree as it
-    was, and the result is no larger than either step alone would leave.
-    The two-step route and direct `delta_compress` may keep different
-    survivors; both are valid summaries.
+    was, and the result is no larger than the pre-pass output. It can be
+    larger than direct `delta_compress` of the snapshot would leave: the
+    two routes keep different survivors, and both are valid summaries.
     """
     return delta_compress(precompress_scan(tree, delta_n), delta_n)

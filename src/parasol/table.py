@@ -8,9 +8,10 @@ membership, lookup, snapshot) and pops minima over (count, rank) heap
 keys in one eviction loop for both backends; `EntryTable` adds the flat
 update sweep and keeps one key per record across calls, and the weeping
 tree adds child links to the same records and rebuilds the heap from
-the root's children at each call. So eviction takes the lowest count
-first and the oldest first among ties; the own-first bit reproduces the
-fact that a transaction's fresh entry is inserted before its spawn.
+the root's children at the end of each update. So eviction takes the
+lowest count first and the oldest first among ties; the own-first bit
+reproduces the fact that a transaction's fresh entry is inserted before
+its spawn.
 """
 
 from __future__ import annotations

@@ -23,15 +23,16 @@ shortcuts:
   it stamps nothing on the nodes it visits, and it resolves a descent
   into a leaf and a hit on a leaf in place, without a frame or a
   subtree pass;
-* eviction runs the shared `Store` pop loop over a heap of the root's
-  children, rebuilt at each call; an evicted node's children take its
-  slot under the root. Eviction is the only way a node leaves the tree.
+* eviction is the shared `Store.delete_minima`, run over a heap of the
+  root's children: after `update`, one exact key per root child; an
+  evicted node's children take its slot under the root and join the
+  heap. Eviction is the only way a node leaves the tree.
 
 A node is the flat store's `Record` with its itemset and child links
 added, and no parent link: nothing walks up the tree. The tree keeps
 its nodes in the same `Store` index the flat table uses, so size,
 membership, lookup and snapshot are one implementation for both
-backends; only the update walk and eviction differ. A tree
+backends; only the update walk and what the heap holds differ. A tree
 built by `update` (and trimmed by `delete_minima`) is behaviourally
 identical to `EntryTable`: after any prefix of the stream both hold the
 same entries and the same error. Nodes never materialize their
@@ -106,6 +107,11 @@ class WeepingTree(Store):
         A descent into a leaf resolves the leaf's overlap at once (find
         it, or attach it under the leaf) instead of pushing a frame, and
         a hit on a leaf bumps its count in place.
+
+        After `update`, `_heap` holds one exact (count, rank) key per root
+        child, where every minimum sits. No count changes during eviction,
+        so no key lags its node, and `_evicted` keeps the heap one key per
+        root child across repeated `delete_minima` calls.
         """
         require_canonical(items)
         root = self.root
@@ -165,6 +171,8 @@ class WeepingTree(Store):
                 )
                 if trace is not None:
                     trace.append(("create", created.alpha, node.alpha, created.count, created.err))
+        self._heap = [(c.count, c.rank) for c in root.children]
+        heapq.heapify(self._heap)
         return visits, intersections
 
     def _bump_subtree(self, top: WNode) -> int:
@@ -188,19 +196,6 @@ class WeepingTree(Store):
         return node
 
     # -- eviction -------------------------------------------------------
-
-    def delete_minima(self, k: float, floor: float, delta_prev: int) -> int:
-        """Pop minimum entries while size > k or count <= floor.
-
-        Minima always sit in the shallowest layer, so the shared `Store`
-        loop runs over (count, rank) keys rebuilt from the root's children.
-        No key lags its node, so the loop never re-keys here: a node enters
-        the heap once and no count changes during the call. Returns the new
-        max error.
-        """
-        self._heap = [(c.count, c.rank) for c in self.root.children]
-        heapq.heapify(self._heap)
-        return super().delete_minima(k, floor, delta_prev)
 
     def _evicted(self, node: WNode) -> None:
         """An evicted root child's children take its slot under the root

@@ -109,28 +109,37 @@ def covers(x_bits, y_bits) -> bool:
 
 
 def check_invariants(state) -> None:
-    """Assert the structural invariants of a `StreamState` after a step.
+    """Assert the invariants of a `StreamState` after a step.
 
     The last step's delta is the state's, and it is no less than the step
-    before's. On both stores the size is at most k, every record has
-    0 <= err <= count, and every stored count is at least `state.delta`:
-    eviction pops minima and counts only rise. The flat store keeps one
-    heap key per record, each key's rank is its record's rank object, and
-    no key's count is above its record's. In the weeping tree the heap's
-    ranks are exactly the root children's, the nodes reachable from the
-    root are exactly the index, and each child's itemset is a proper
-    subset of its parent's and its count at least its parent's.
+    before's; the store then passes `check_store` at the state's k and
+    delta.
     """
     steps = state.steps
     assert steps[-1].delta == state.delta, (steps[-1].delta, state.delta)
     if len(steps) > 1:
         assert steps[-2].delta <= steps[-1].delta, (steps[-2].delta, steps[-1].delta)
-    table = state.table
+    check_store(state.table, state.k, state.delta)
+
+
+def check_store(table, k: float, delta: int) -> None:
+    """Assert the structural invariants of a store between calls.
+
+    The size is at most k, every record has 0 <= err <= count, and every
+    stored count is at least delta: eviction pops minima and counts only
+    rise. One key rule holds for both stores: each heap key's rank is its
+    record's rank object, and no key's count is above its record's. The
+    flat store keeps one key per record, and the weeping tree one key per
+    root child. In the tree the nodes reachable from the root are exactly
+    the index, and each child's itemset is a proper subset of its
+    parent's and its count at least its parent's.
+    """
     index = table._index
-    assert len(table) <= state.k, (len(table), state.k)
+    assert len(table) <= k, (len(table), k)
     for alpha, rec in index.items():
         assert 0 <= rec.err <= rec.count, (alpha, rec.count, rec.err)
-        assert rec.count >= state.delta, (alpha, rec.count, state.delta)
+        assert rec.count >= delta, (alpha, rec.count, delta)
+    keyed = index.keys()
     if isinstance(table, WeepingTree):
         seen = 0
         stack = [table.root]
@@ -144,15 +153,13 @@ def check_invariants(state) -> None:
                 seen += 1
                 stack.append(child)
         assert seen == len(index)
-        ranks = sorted(rank for _, rank in table._heap)
-        assert ranks == sorted(child.rank for child in table.root.children)
-    else:
-        assert len(table._heap) == len(index)
-        assert {rank[2] for _, rank in table._heap} == index.keys()
-        for count, rank in table._heap:
-            rec = index[rank[2]]
-            assert rank is rec.rank, (rank, rec.rank)
-            assert count <= rec.count, (rank, count, rec.count)
+        keyed = [child.alpha for child in table.root.children]
+    assert len(table._heap) == len(keyed), (len(table._heap), len(keyed))
+    assert {rank[2] for _, rank in table._heap} == set(keyed)
+    for count, rank in table._heap:
+        rec = index[rank[2]]
+        assert rank is rec.rank, (rank, rec.rank)
+        assert count <= rec.count, (rank, count, rec.count)
 
 
 def check_walk_visits(tree, visits: int) -> None:

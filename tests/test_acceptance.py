@@ -25,7 +25,7 @@ from parasol import (
 from parasol.cli import EXIT_OK, main
 from parasol.engine import intersect_step, rc_delete
 
-from helpers import DROP_ONE, DROP_ONE_PLUS, MaskModel, as_dict, random_streams
+from helpers import DROP_ONE, DROP_ONE_PLUS, MaskModel, as_dict, check_invariants, random_streams
 
 DATA = Path(__file__).parent / "data"
 
@@ -45,7 +45,9 @@ def soak():
     """Replay the seeded stream corpus on both backends across the grid.
 
     Collects every violation instead of stopping, so one run reports the
-    state of all soak criteria at once.
+    state of all soak criteria at once. Both states pass
+    `check_invariants` after every step, or the configuration is
+    recorded as an invariant failure and its other checks are skipped.
     """
     started = time.perf_counter()
     failures: list[tuple] = []
@@ -59,9 +61,15 @@ def soak():
             for eps in GRID_EPS:
                 flat = StreamState(k=k, epsilon=eps, backend="flat")
                 tree = StreamState(k=k, epsilon=eps, backend="wtree")
-                for t in stream:
-                    process_transaction(flat, t)
-                    process_transaction(tree, t)
+                try:
+                    for t in stream:
+                        process_transaction(flat, t)
+                        process_transaction(tree, t)
+                        check_invariants(flat)
+                        check_invariants(tree)
+                except AssertionError as exc:
+                    failures.append(("invariant", sid, k, eps, t.timestamp, repr(exc)))
+                    continue
                 snap = flat.snapshot()
                 if snap != tree.snapshot() or flat.delta != tree.delta:
                     failures.append(("backend-divergence", sid, k, eps))
