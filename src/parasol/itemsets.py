@@ -30,9 +30,9 @@ def itemset(items: Iterable[int]) -> Items:
 
 
 def require_canonical(items: Items) -> None:
-    """Raise ValueError unless items is a non-empty, strictly increasing tuple of
-    non-negative ints; a list would otherwise fail later, unhashable, in a store."""
-    if not isinstance(items, tuple) or not items or items[0] < 0:
+    """Raise ValueError unless items is a non-empty, strictly increasing tuple whose
+    items are non-negative and of type int itself, not bool, float or str."""
+    if not isinstance(items, tuple) or {*map(type, items)} != {int} or items[0] < 0:
         raise ValueError(f"itemsets are non-empty tuples of non-negative ints, got {items!r}")
     if not all(map(operator.lt, items, items[1:])):
         raise ValueError(f"itemsets are strictly increasing, got {items!r}")

@@ -1,17 +1,16 @@
-"""Entry storage: one record index and one eviction loop for both backends.
+"""Entry storage: one record index, update rule and eviction loop for both stores.
 
 Every stored itemset maps to a `Record` (count, err, rank), where rank
 is (birth, not own, itemset): birth is the timestamp the entry was
 (re)created and own marks an entry born as the arriving transaction's
-own itemset. `Store` owns that index, answers every read (size,
-membership, lookup, snapshot) and pops minima over (count, rank) heap
-keys in one eviction loop for both backends; `EntryTable` adds the flat
-update sweep and keeps one key per record across calls, and the weeping
-tree adds child links to the same records and rebuilds the heap from
-the root's children at the end of each update. So eviction takes the
-lowest count first and the oldest first among ties; the own-first bit
-reproduces the fact that a transaction's fresh entry is inserted before
-its spawn.
+own itemset. `Store` owns that index, answers every read and pops
+minima over (count, rank) heap keys. `EntryTable`'s sweep and the
+weeping tree's walk follow `Store`'s one update rule: a stored itemset
+inside the transaction gains exactly one, and only an overlap not yet
+stored is inserted, given delta_prev at most every stored count.
+Eviction takes the lowest count first and the oldest first among ties;
+the own-first bit reproduces the fact that a transaction's fresh entry
+is inserted before its spawn.
 """
 
 from __future__ import annotations
@@ -36,11 +35,23 @@ class Record:
 class Store:
     """An index from itemset to record, its reads, and its eviction loop.
 
-    `update(items, delta_prev, timestamp)` is each subclass's only
-    public write; it fills `_heap` with one (count, rank) key per keyed
-    record. A key may lag a raised count, never lead it, and leaves only
-    with its record: the loop re-keys a lagging top key, so a top key
-    that matches its record is the true minimum.
+    `update(items, delta_prev, timestamp)` is each subclass's only public
+    write, by one rule: a stored itemset inside the transaction gains
+    exactly one, and an overlap not yet stored is inserted at the best
+    (count + 1, err) of the stored itemsets that produce it, a new
+    transaction itemset also bidding (delta_prev + 1, delta_prev). The
+    precondition is delta_prev at most every stored count, as the value
+    `delete_minima` returns is. The rule rests on an invariant: no stored
+    proper superset counts more than a stored subset. A stored itemset's
+    candidates come only from its supersets, so its own count + 1 wins and
+    buffering them would be dead work.
+    Without eviction counts are supports and the invariant is exact; under
+    eviction the tests' `check_store` gates it, and nothing here proves it.
+
+    `update` fills `_heap` with one (count, rank) key per keyed record.
+    A key may lag a raised count, never lead it, and leaves only with
+    its record: the loop re-keys a lagging top key, so a top key that
+    matches its record is the true minimum.
     """
 
     __slots__ = ("_index", "_heap")
@@ -96,11 +107,7 @@ class Store:
 
 
 class EntryTable(Store):
-    """Bounded collection of entries keyed uniquely by itemset.
-
-    `update` is the only write, and the heap outlives each call: a count
-    only rises, since an entry's own overlap is one of its candidates.
-    """
+    """The flat store: `update` sweeps every entry, and its one key per record outlives each call."""
 
     __slots__ = ()
 
@@ -109,27 +116,25 @@ class EntryTable(Store):
         heapq.heappush(self._heap, (count, rec.rank))
 
     def update(self, items: Items, delta_prev: int, timestamp: int) -> tuple[int, int]:
-        """Fold one transaction in; returns (visits, intersections) as the tree does.
+        """Fold one transaction in by `Store`'s rule, with delta_prev at most
+        every stored count; returns (visits, intersections) as the tree does.
 
-        The transaction is one candidate beside its overlaps: if its itemset
-        is new it seeds the candidate buffer with (delta_prev + 1,
-        delta_prev), as the tree's root does. Every stored itemset with a
-        non-empty overlap contributes a candidate (overlap, count + 1, err);
-        colliding candidates keep the maximum count, breaking count ties
-        toward the smaller err, so the winner does not depend on the order
-        they arrive in. A new candidate is inserted at its final estimate,
-        and a stored entry takes the winner's, except that it keeps its own
-        err when its count rises by exactly one. The result has at most
-        2 * len + 1 entries; no eviction happens here. The sweep visits and
-        intersects every stored entry once, and the seed counts as one
-        more of each.
+        The sweep adds one in place to each stored itemset inside the
+        transaction and skips every other overlap already stored: by the
+        invariant that itemset's own count + 1 wins, so buffering its
+        candidates would be dead work. The buffer, seeded with the
+        transaction's own new itemset as the tree's root is, keeps for each
+        new itemset the highest count, ties toward the smaller err, so the
+        order candidates arrive in does not matter, and inserts each once,
+        at its final estimate. The result has at most 2 * len + 1 entries;
+        no eviction happens here. The sweep visits and intersects every
+        stored entry once, and the seed counts as one more of each.
 
-        Each overlap is `tuple(filter(inside, alpha))`, with `inside` bound
-        once per update to the `__contains__` of a set of the transaction's
-        items. The filter keeps alpha's sorted order, so the overlap is
-        canonical, and it tests membership rather than truth, so item 0
-        stays in. A new candidate is items or an overlap, so once items is
-        checked it is canonical and is stored as it is.
+        Each overlap is `tuple(filter(inside, alpha))`, where `inside` is
+        the `__contains__` of a set of the transaction's items: the filter
+        keeps alpha's sorted order, so the overlap is canonical, and tests
+        membership rather than truth, so item 0 stays in. A new candidate
+        is items or an overlap, so once items is checked it is stored as is.
         """
         require_canonical(items)
         index = self._index
@@ -141,19 +146,13 @@ class EntryTable(Store):
         inside = set(items).__contains__
         for alpha, rec in index.items():
             beta = tuple(filter(inside, alpha))
-            if not beta:
-                continue
-            count = rec.count + 1
-            prev = buf.get(beta)
-            if prev is None or count > prev[0] or (count == prev[0] and rec.err < prev[1]):
-                buf[beta] = (count, rec.err)
-
+            if len(beta) == len(alpha):
+                rec.count += 1
+            elif beta and beta not in index:
+                count = rec.count + 1
+                prev = buf.get(beta)
+                if prev is None or count > prev[0] or (count == prev[0] and rec.err < prev[1]):
+                    buf[beta] = (count, rec.err)
         for beta, (count, err) in buf.items():
-            rec = index.get(beta)
-            if rec is None:
-                self._insert(beta, count, err, timestamp, own=beta == items)
-                continue
-            if count != rec.count + 1:
-                rec.err = err
-            rec.count = count
+            self._insert(beta, count, err, timestamp, own=beta == items)
         return swept, swept

@@ -86,11 +86,11 @@ class WeepingTree(Store):
     def update(self, items: Items, delta_prev: int, timestamp: int) -> tuple[int, int]:
         """Fold one transaction in; returns (nodes touched, intersections).
 
-        Equivalent to the flat sweep: every stored itemset contained in
-        the transaction gains one count, and for every narrowed mask that
-        has no entry yet, a node (mask, parent count + 1, parent err) is
-        attached under the deepest node that produced it; if the walk
-        never narrows to an existing or created entry for the whole
+        `Store`'s one rule, as in the flat sweep: every stored itemset
+        inside the transaction gains exactly one, and for every narrowed
+        mask with no entry yet, a node (mask, parent count + 1, parent
+        err) is attached under the deepest node that produced it; if the
+        walk never narrows to an existing or created entry for the whole
         transaction, the root contributes the pair (delta_prev,
         delta_prev) so the fresh entry ends at count delta_prev + 1.
 

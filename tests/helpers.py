@@ -133,6 +133,14 @@ def check_store(table, k: float, delta: int) -> None:
     root child. In the tree the nodes reachable from the root are exactly
     the index, and each child's itemset is a proper subset of its
     parent's and its count at least its parent's.
+
+    On both stores no stored proper superset counts more than a stored
+    subset. That is the invariant `update`'s one rule rests on: a stored
+    itemset inside a transaction gets candidates only from the stored
+    itemsets that contain it, so its own count + 1 always wins, and
+    buffering its other candidates would be dead work. Without eviction
+    counts are supports and the invariant is exact; under eviction this
+    check is its gate, not a proof.
     """
     index = table._index
     assert len(table) <= k, (len(table), k)
@@ -160,6 +168,10 @@ def check_store(table, k: float, delta: int) -> None:
         rec = index[rank[2]]
         assert rank is rec.rank, (rank, rec.rank)
         assert count <= rec.count, (rank, count, rec.count)
+    by_count = sorted((rec.count, frozenset(alpha)) for alpha, rec in index.items())
+    for j, (count, sub) in enumerate(by_count):
+        for above, sup in by_count[j + 1 :]:
+            assert above == count or not sub < sup, (sorted(sub), count, sorted(sup), above)
 
 
 def check_walk_visits(tree, visits: int) -> None:

@@ -10,8 +10,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-# demos/tree_pruning.py is left out: it takes over ten seconds.
-@pytest.mark.parametrize("demo", ["quickstart.py", "budget_vs_error.py", "drift_recovery.py"])
+@pytest.mark.parametrize(
+    "demo", ["quickstart.py", "budget_vs_error.py", "drift_recovery.py", "tree_pruning.py"]
+)
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

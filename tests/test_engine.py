@@ -74,7 +74,8 @@ class TestIntersectStep:
         # same records inserted in different orders must give the same result
         rng = random.Random(99)
         for _, stream in random_streams(30, base_seed=321):
-            base = replay(stream, k=4).table
+            state = replay(stream, k=4)
+            base = state.table
             rows = [
                 (alpha, rec.count, rec.err, rec.rank[0], not rec.rank[1])
                 for alpha, rec in base._index.items()
@@ -85,7 +86,7 @@ class TestIntersectStep:
             for _ in range(4):
                 rng.shuffle(rows)
                 t = table_of(rows)
-                intersect_step(t, nxt, 2)
+                intersect_step(t, nxt, state.delta)  # at most every stored count
                 outputs.append(as_dict(t.snapshot()))
             assert all(o == outputs[0] for o in outputs)
 
@@ -371,6 +372,8 @@ class TestWorkAccounting:
             StreamState(k=0)
         with pytest.raises(ValueError):
             StreamState(epsilon=1.0)
+        with pytest.raises(ValueError):
+            StreamState(backend="bogus")
         assert StreamState(k=math.inf).k == math.inf
         # a state starts empty; i, delta, table and steps only advance
         for name in ("i", "delta", "table", "steps"):

@@ -62,4 +62,7 @@ def test_backends_agree_on_dense_duplicate_streams():
                 process_transaction(tree, t)
             assert flat.snapshot() == tree.snapshot(), (case, k, eps)
             assert flat.delta == tree.delta
+            for e in flat.snapshot():
+                assert e.alpha in flat.table and e.alpha in tree.table
+            assert (0,) not in flat.table and (0,) not in tree.table  # ids start at 1
 

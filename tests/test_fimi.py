@@ -91,6 +91,9 @@ def test_metrics_rows_and_final_sample():
     write_metrics(samples, buf, stride=1)
     assert buf.getvalue().splitlines()[-1] == "5,3,3,0.6"
 
+    with pytest.raises(ValueError):
+        write_metrics(samples, io.StringIO(), stride=0)
+
 
 def test_metrics_stride_downsamples():
     samples = [(i, 2, 1) for i in range(1, 1001)]

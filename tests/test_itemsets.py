@@ -64,13 +64,14 @@ def test_transaction_validation():
         Transaction((), 1)
     with pytest.raises(ValueError):
         Transaction((1,), 0)
-    for items in ((2, 1), (1, 1), (-1, 2), [1, 2]):
+    # every item must be an int itself: not a float, a bool or a str
+    for items in ((2, 1), (1, 1), (-1, 2), [1, 2], (0.5, 2), (True,), (1, False), ("a", "b")):
         with pytest.raises(ValueError):
             Transaction(items, 1)
 
 
 def test_stores_reject_non_canonical_itemsets():
-    for items in ((2, 1), (-1, 2), [1, 2]):
+    for items in ((2, 1), (-1, 2), [1, 2], (0.5, 2), (True,), ("a", "b")):
         table = EntryTable()
         with pytest.raises(ValueError):
             table.update(items, 0, 1)

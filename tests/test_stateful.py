@@ -4,10 +4,17 @@ random sequence of calls, stay observationally identical.
 Hypothesis draws a budget k, then interleaves updates at consecutive
 timestamps, evictions at any floor (repeated, or with no update in
 between), snapshot reads above a threshold, and both compression routes.
+An update passes the running delta, or any delta_prev from it up to the
+smallest stored count, the whole range the stores' precondition allows;
+either way it must follow the one update rule: every stored itemset
+inside the transaction gains exactly one and keeps its err, every other
+record is unchanged, and every new entry counts at least delta_prev + 1.
 After every rule the two stores hold equal snapshots and pass
 `check_store`, whose key rule is the heap contract `delete_minima` relies
-on. While no eviction could have fired (k = inf and every floor 0), the
-snapshot is exactly the closed itemsets of the updates so far.
+on and whose superset rule is the invariant the update rule rests on.
+While no eviction could have fired (k = inf and every floor 0) and every
+update passed delta_prev 0, the snapshot is exactly the closed itemsets
+of the updates so far.
 """
 
 import math
@@ -27,7 +34,7 @@ from parasol import (
     verify_delta_covered_set,
 )
 
-from helpers import check_store
+from helpers import as_dict, check_store
 
 ITEMSETS = st.lists(st.integers(0, 5), min_size=1, max_size=5).map(itemset)
 FLOORS = st.one_of(st.just(0), st.integers(1, 4), st.floats(0, 4))
@@ -45,13 +52,33 @@ class StoresAgree(RuleBasedStateMachine):
         self.stream: list[Transaction] = []
         self.exact = k == math.inf  # no eviction can have fired yet
 
-    @rule(items=ITEMSETS)
-    def update(self, items):
+    def _update(self, items, delta_prev):
         t = Transaction(items, len(self.stream) + 1)
         self.stream.append(t)
-        self.flat.update(items, self.delta, t.timestamp)
-        self.tree.update(items, self.delta, t.timestamp)
+        for store in (self.flat, self.tree):
+            before = as_dict(store.snapshot())
+            store.update(items, delta_prev, t.timestamp)
+            after = as_dict(store.snapshot())
+            for alpha, (count, err) in before.items():
+                gain = set(alpha) <= set(items)
+                assert after[alpha] == (count + gain, err), (alpha, before[alpha], after[alpha])
+            for alpha in after.keys() - before.keys():
+                assert after[alpha][0] >= delta_prev + 1, (alpha, after[alpha], delta_prev)
         self.bound = math.inf  # up to 2 * size + 1 entries until the next eviction
+
+    @rule(items=ITEMSETS)
+    def update(self, items):
+        self._update(items, self.delta)
+
+    @rule(items=ITEMSETS, data=st.data())
+    def update_at_any_allowed_delta(self, items, data):
+        # the precondition: delta_prev is at most every stored count
+        top = min((e.count for e in self.flat.snapshot()), default=self.delta + 3)
+        delta_prev = data.draw(st.integers(self.delta, top), label="delta_prev")
+        self._update(items, delta_prev)
+        # new entries carry err delta_prev, so it is the running delta from here
+        self.delta = delta_prev
+        self.exact = self.exact and delta_prev == 0
 
     @rule(floor=FLOORS)
     def delete_minima(self, floor):
