@@ -13,7 +13,6 @@ from .engine import QueryResult, StreamState, TimestampGap, process_transaction,
 from .fimi import ParseError, ParseStats, parse_fimi, write_fimi, write_metrics, write_result
 from .itemsets import Entry, Items, Transaction, itemset
 from .oracle import (
-    UniverseTooLarge,
     enumerate_closed,
     enumerate_delta_closed,
     enumerate_fis,
@@ -36,7 +35,6 @@ __all__ = [
     "StreamState",
     "TimestampGap",
     "Transaction",
-    "UniverseTooLarge",
     "WeepingTree",
     "burst_stream",
     "compress_two_step",

@@ -18,14 +18,17 @@ Items = tuple[int, ...]
 def itemset(items: Iterable[int]) -> Items:
     """Canonical itemset: deduplicated, sorted ascending, non-negative ints.
 
-    Item ids are arbitrary non-negative integers; 0 is accepted. No
-    densification/remapping is ever applied (a one-pass stream cannot be
-    pre-scanned for its alphabet).
+    Item ids are arbitrary non-negative integers; 0 is accepted. An item
+    whose type is not int itself (bool, float, str) is a ValueError, as
+    in `require_canonical`. No densification/remapping is ever applied
+    (a one-pass stream cannot be pre-scanned for its alphabet).
     """
-    out = tuple(sorted(set(items)))
-    for x in out:
-        if x < 0:
-            raise ValueError(f"item ids must be non-negative, got {x}")
+    try:
+        out = tuple(sorted(set(items)))
+    except TypeError as exc:  # items that do not sort together, such as "a" and 1
+        raise ValueError(f"item ids are non-negative ints: {exc}") from None
+    if out and ({*map(type, out)} != {int} or out[0] < 0):
+        raise ValueError(f"item ids are non-negative ints, got {out!r}")
     return out
 
 

@@ -1,31 +1,22 @@
-"""Exact reference implementations for desk-scale verification.
+"""Exact reference implementations the tests and CI check the engine against.
 
-Everything here is deliberately naive (power-set candidate generation,
-quadratic pairwise checks) and shares no code with the streaming
-engine, so differential tests against it are meaningful. Hard input-size
-guards keep the naivety honest. The one exception is
-`enumerate_fis_tidsets`, a tid-set enumerator of the frequent itemsets
-that works on any alphabet; tests check it against `enumerate_fis`, and
-`verify_delta_covered_set` uses it.
-
-Supports are always recomputed from the raw stream; none of these
-functions ever trusts an engine estimate. The two predicates the checks
+Nothing here shares code with the streaming engine, so differential
+tests against it are meaningful. Supports are always recomputed from
+the raw stream; none of these functions ever trusts an engine estimate.
+The frequent itemsets come from one tid-set walk, `enumerate_fis`,
+whose work follows the frequent itemsets rather than the alphabet, so
+every check here runs on any alphabet. The two predicates the checks
 are built on, `intersect` and `is_delta_covered`, live here too: the
 oracle is their only caller.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+import operator
+from functools import reduce
 from typing import Iterable, Sequence
 
 from .itemsets import Entry, Items, Transaction
-
-MAX_UNIVERSE = 20  # power-set enumeration guard
-
-
-class UniverseTooLarge(ValueError):
-    """The stream's item universe is too large for exhaustive enumeration."""
 
 
 def intersect(a: Items, b: Items) -> Items:
@@ -53,49 +44,27 @@ def true_support(stream: Sequence[Transaction], alpha: Items) -> int:
     return sum(1 for t in stream if aset.issubset(t.items))
 
 
-def _candidate_itemsets(stream: Sequence[Transaction]) -> set[Items]:
-    """Every non-empty subset of some transaction (all itemsets with support > 0)."""
-    universe: set[int] = set()
-    for t in stream:
-        universe.update(t.items)
-    if len(universe) > MAX_UNIVERSE:
-        raise UniverseTooLarge(
-            f"{len(universe)} distinct items; enumeration is capped at {MAX_UNIVERSE}"
-        )
-    out: set[Items] = set()
-    for t in stream:
-        for r in range(1, len(t.items) + 1):
-            out.update(combinations(t.items, r))
-    return out
-
-
-def enumerate_fis(stream: Sequence[Transaction], sigma: float) -> dict[Items, int]:
-    """All itemsets with support strictly greater than sigma * n, exactly counted."""
-    n = len(stream)
-    threshold = sigma * n
-    out: dict[Items, int] = {}
-    for alpha in _candidate_itemsets(stream):
-        s = true_support(stream, alpha)
-        if s > threshold:
-            out[alpha] = s
-    return out
-
-
-def enumerate_fis_tidsets(stream: Sequence[Transaction], sigma: float) -> dict[Items, int]:
-    """`enumerate_fis` by depth-first tid-set intersection (Eclat), for any alphabet.
-
-    Each item's tid-set is a bit mask over transaction positions. An
-    itemset is extended only by larger items, and only while the
-    intersected tid-set stays above sigma * n, so the work follows the
-    frequent itemsets rather than the alphabet.
-    """
-    threshold = sigma * len(stream)
+def _item_tids(stream: Sequence[Transaction]) -> dict[int, int]:
+    """Each item's tid-set: a bit mask over the positions of the transactions holding it."""
     tids: dict[int, int] = {}
     for pos, t in enumerate(stream):
         for x in t.items:
             tids[x] = tids.get(x, 0) | 1 << pos
+    return tids
+
+
+def enumerate_fis(stream: Sequence[Transaction], sigma: float) -> dict[Items, int]:
+    """All itemsets with support strictly greater than sigma * n, exactly counted.
+
+    A depth-first tid-set intersection (Eclat): an itemset is extended
+    only by larger items, and only while the intersected tid-set stays
+    above sigma * n, so the work follows the frequent itemsets rather
+    than the alphabet.
+    """
+    threshold = sigma * len(stream)
     out: dict[Items, int] = {}
-    stack = [((), sorted((x, m) for x, m in tids.items() if m.bit_count() > threshold))]
+    items = sorted((x, m) for x, m in _item_tids(stream).items() if m.bit_count() > threshold)
+    stack = [((), items)]
     while stack:
         prefix, tail = stack.pop()
         for j, (x, mask) in enumerate(tail):
@@ -132,23 +101,22 @@ def enumerate_delta_closed(
 
     An itemset whose support is at most delta is never delta-closed: a
     fresh item from outside the universe always yields a zero-support
-    proper superset. The result is antitone in delta and shrinks toward
-    the maximal itemsets; it is contained in every delta-covered summary
-    of the frequent itemsets.
+    proper superset. Otherwise alpha, of support s, is kept when every
+    one-item extension alpha + {x} has support below s - delta. That is
+    exact: support only falls as an itemset grows, so alpha has a proper
+    superset within delta exactly when some one-item extension is within
+    delta. The result is antitone in delta and shrinks toward the
+    maximal itemsets; it is contained in every delta-covered summary of
+    the frequent itemsets.
     """
-    fis = enumerate_fis(stream, sigma)
-    candidates = _candidate_itemsets(stream)
-    supports = {alpha: true_support(stream, alpha) for alpha in candidates}
+    tids = _item_tids(stream)
     out: set[Items] = set()
-    for alpha, s in fis.items():
-        if s - delta <= 0:
-            continue
-        aset = set(alpha)
-        dominated = any(
-            len(beta) > len(alpha) and supports[beta] >= s - delta and aset.issubset(beta)
-            for beta in candidates
-        )
-        if not dominated:
+    for alpha, s in enumerate_fis(stream, sigma).items():
+        floor = s - delta
+        mask = reduce(operator.and_, map(tids.__getitem__, alpha))
+        if floor > 0 and not any(
+            (mask & other).bit_count() >= floor for x, other in tids.items() if x not in alpha
+        ):
             out.add(alpha)
     return out
 
@@ -163,11 +131,11 @@ def verify_delta_covered_set(
 
     Coverage is judged on true supports. `output` may be entries or bare
     itemsets; counts in entries are ignored on purpose. The frequent
-    itemsets come from `enumerate_fis_tidsets`, so any alphabet will do.
+    itemsets come from `enumerate_fis`, so any alphabet will do.
     """
     alphas = [e.alpha if isinstance(e, Entry) else tuple(e) for e in output]
     sup = {beta: true_support(stream, beta) for beta in alphas}
-    for alpha, s_alpha in enumerate_fis_tidsets(stream, sigma).items():
+    for alpha, s_alpha in enumerate_fis(stream, sigma).items():
         if not any(
             is_delta_covered(alpha, s_alpha, beta, sup[beta], delta) for beta in alphas
         ):

@@ -12,15 +12,17 @@ Streams used repeatedly:
   cover-predicate and delta-closed examples.
 
 GRID is the (k, epsilon) grid of the stepwise backend comparison.
-`zipf_stream` draws sparse baskets over a wide alphabet, past what the
-power-set oracle can enumerate.
+`zipf_stream` draws sparse baskets over a wide alphabet, far past what
+a power set could list; every oracle check runs on any alphabet.
 `sparse` maps a stream over ids 1-9 onto SPARSE_IDS, which start at 0.
 `covers` is the address-level covering predicate the tree's address
 tests reason with.
 
 The mask helpers re-express itemsets over a small universe as bit
 masks so the soak tests can enumerate supports and representatives
-quickly; they are test-side only.
+quickly; they are test-side only. `MaskModel`, which counts every
+itemset of the universe, is the exhaustive reference that
+`enumerate_fis` and `enumerate_delta_closed` are tested against.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from parasol.cli import (
     build_parser,
     main,
 )
-from parasol.oracle import true_support, verify_delta_covered_set
+from parasol.oracle import enumerate_delta_closed, true_support, verify_delta_covered_set
 
 from helpers import DROP_ONE, DROP_ONE_PLUS, zipf_stream
 
@@ -160,8 +160,9 @@ def test_compression_keeps_a_cover_of_a_frequent_singleton(tmp_path):
     assert tables["flat"] == tables["two-step"] == [Entry((2, 4), 11, 6)]
 
 
-# options per input: alphabets of 851 and 38 items, where the
-# power-set oracle cannot enumerate, and delta <= sigma * n on both
+# options per input: alphabets of 851 and 38 items, far past what a
+# power set could list (the oracle's tid-set checks run on any
+# alphabet), and delta <= sigma * n on both
 WIDE = {
     "sparse": ["--mode", "parasol", "--epsilon", "0.005", "--k", "200", "--sigma", "0.04"],
     "burst": ["--mode", "parasol", "--epsilon", "0.005", "--k", "150", "--sigma", "0.08"],
@@ -196,6 +197,9 @@ def test_every_route_covers_the_frequent_itemsets_of_a_wide_alphabet(source, tmp
         for e in rows:
             assert e.count - e.err <= true_support(stream, e.alpha) <= e.count, (backend, comp, e)
         assert verify_delta_covered_set(rows, stream, sigma, summary["delta"]), (backend, comp)
+        # compression keeps a delta-closed itemset: absorbing it would need
+        # a superset whose support is within delta of its own
+        assert enumerate_delta_closed(stream, summary["delta"], sigma) <= {e.alpha for e in rows}
 
 
 def test_summary_json(drop_one_file, capsys):

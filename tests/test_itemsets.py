@@ -22,6 +22,12 @@ def test_itemset_rejects_negative():
         itemset([1, -2])
 
 
+@pytest.mark.parametrize("items", [[0.5, 2], [True], ["a"], ["a", 1]], ids=repr)
+def test_itemset_rejects_items_that_are_not_ints(items):
+    with pytest.raises(ValueError):
+        itemset(items)
+
+
 def test_intersect_examples():
     assert intersect((1, 3, 4, 5), (1, 2, 4, 5)) == (1, 4, 5)
     assert intersect((1, 2), (1, 2)) == (1, 2)

@@ -1,19 +1,15 @@
 import random
 
-import pytest
-
-from parasol import Transaction, UniverseTooLarge, random_stream, replay
+from parasol import Transaction, random_stream, replay
 from parasol.oracle import (
-    MAX_UNIVERSE,
     enumerate_closed,
     enumerate_delta_closed,
     enumerate_fis,
-    enumerate_fis_tidsets,
     true_support,
     verify_delta_covered_set,
 )
 
-from helpers import CHAIN5, DROP_ONE, DROP_ONE_PLUS, random_streams
+from helpers import CHAIN5, DROP_ONE, DROP_ONE_PLUS, MaskModel, random_streams
 
 
 def test_true_support_worked_values():
@@ -39,27 +35,28 @@ def test_enumerate_fis_sigma_one_is_empty():
     assert enumerate_fis(DROP_ONE_PLUS, 1.0) == {}
 
 
-def test_enumerate_fis_guards_universe():
-    stream = [Transaction(tuple(range(25)), 1)]
-    with pytest.raises(UniverseTooLarge):
-        enumerate_fis(stream, 0.0)
-
-
-def test_tidset_enumeration_matches_the_power_set():
-    # alphabets up to the power-set guard, thresholds from every itemset
-    # with support > 0 up to sigma = 1
-    assert enumerate_fis_tidsets(DROP_ONE_PLUS, 0.6) == enumerate_fis(DROP_ONE_PLUS, 0.6)
+def test_enumeration_matches_the_mask_model():
+    # every itemset's support from the exhaustive bitmask model, at
+    # thresholds from every itemset with support > 0 up to sigma = 1
     for s in range(40):
         rng = random.Random(900 + s)
-        stream = random_stream(rng, rng.randint(1, 40), rng.randint(1, MAX_UNIVERSE), 6)
+        stream = random_stream(rng, rng.randint(1, 40), rng.randint(1, 12), 6)
+        model = MaskModel(stream)
         for sigma in (0.0, 0.05, 0.1, 0.25, 0.5, 1.0):
-            assert enumerate_fis_tidsets(stream, sigma) == enumerate_fis(stream, sigma), (s, sigma)
+            fis = {model.mask(a): sup for a, sup in enumerate_fis(stream, sigma).items()}
+            assert fis == {m: model.sup[m] for m in model.fis(sigma)}, (s, sigma)
+            for delta in (0, 1, 2, 4):
+                got = {model.mask(a) for a in enumerate_delta_closed(stream, delta, sigma)}
+                assert got == set(model.delta_closed(delta, sigma)), (s, sigma, delta)
 
 
-def test_tidset_enumeration_takes_a_wide_alphabet():
+def test_enumeration_takes_a_wide_alphabet():
     stream = [Transaction(tuple(range(25)), 1), Transaction((3, 24, 10**9), 2)]
-    # 26 items: past the power-set guard, which enumerate_fis raises on
-    assert enumerate_fis_tidsets(stream, 0.5) == {(3,): 2, (24,): 2, (3, 24): 2}
+    # 26 items: a power set would hold 2**26 itemsets
+    assert enumerate_fis(stream, 0.5) == {(3,): 2, (24,): 2, (3, 24): 2}
+    assert enumerate_delta_closed(stream, 0, 0.5) == {(3, 24)}
+    # at delta 1 the infrequent (3, 24, 10**9), of support 1, is within reach
+    assert enumerate_delta_closed(stream, 1, 0.5) == set()
 
 
 def test_enumerate_closed_counts():
