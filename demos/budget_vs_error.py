@@ -10,20 +10,10 @@ cross-checked against the brute-force reference.
 import math
 import random
 
-from parasol import (
-    StreamState,
-    Transaction,
-    enumerate_closed,
-    itemset,
-    process_transaction,
-)
+from parasol import StreamState, enumerate_closed, process_transaction, random_stream
 
-rng = random.Random(77)
 N, UNIVERSE, MAXLEN = 200, 10, 6
-stream = [
-    Transaction(itemset(rng.sample(range(1, UNIVERSE + 1), rng.randint(1, MAXLEN))), i)
-    for i in range(1, N + 1)
-]
+stream = random_stream(random.Random(77), N, UNIVERSE, MAXLEN)
 
 print(f"stream: n={N}, universe={UNIVERSE}, max length {MAXLEN}\n")
 print(f"{'k':>10} {'entries':>8} {'delta':>6} {'delta/n':>8}")

@@ -18,17 +18,18 @@ Items = tuple[int, ...]
 def itemset(items: Iterable[int]) -> Items:
     """Canonical itemset: deduplicated, sorted ascending, non-negative ints.
 
-    Item ids are arbitrary non-negative integers; 0 is accepted. An item
-    whose type is not int itself (bool, float, str) is a ValueError, as
-    in `require_canonical`. No densification/remapping is ever applied
-    (a one-pass stream cannot be pre-scanned for its alphabet).
+    Item ids are arbitrary non-negative integers; 0 is accepted. A
+    non-empty result must pass `require_canonical`, so an item whose type
+    is not int itself (bool, float, str) is a ValueError. No
+    densification/remapping is ever applied (a one-pass stream cannot be
+    pre-scanned for its alphabet).
     """
     try:
         out = tuple(sorted(set(items)))
     except TypeError as exc:  # items that do not sort together, such as "a" and 1
         raise ValueError(f"item ids are non-negative ints: {exc}") from None
-    if out and ({*map(type, out)} != {int} or out[0] < 0):
-        raise ValueError(f"item ids are non-negative ints, got {out!r}")
+    if out:
+        require_canonical(out)
     return out
 
 

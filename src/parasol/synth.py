@@ -20,19 +20,22 @@ BURST_MIN_LEN = 9
 BURST_LO = 1000  # the flood alphabet sits far above the calm one
 
 
-def random_stream(
-    rng: random.Random,
-    n: int,
-    universe: int,
-    max_len: int,
+def _baskets(
+    rng: random.Random, first: int, n: int, universe: int, max_len: int
 ) -> list[Transaction]:
+    """n transactions timestamped from first on, each a non-empty subset of
+    {1..universe} up to max_len items: its length is drawn, then its items."""
+    pool = range(1, universe + 1)
+    top = min(max_len, universe)
+    return [
+        Transaction(itemset(rng.sample(pool, rng.randint(1, top))), ts)
+        for ts in range(first, first + n)
+    ]
+
+
+def random_stream(rng: random.Random, n: int, universe: int, max_len: int) -> list[Transaction]:
     """n transactions, each a non-empty subset of {1..universe} up to max_len items."""
-    out: list[Transaction] = []
-    for i in range(1, n + 1):
-        length = rng.randint(1, min(max_len, universe))
-        items = rng.sample(range(1, universe + 1), length)
-        out.append(Transaction(itemset(items), i))
-    return out
+    return _baskets(rng, 1, n, universe, max_len)
 
 
 def burst_stream(
@@ -49,22 +52,10 @@ def burst_stream(
     brood of candidates.
     """
     rng = random.Random(seed)
-    out: list[Transaction] = []
-    ts = 0
-
-    def calm(count: int) -> None:
-        nonlocal ts
-        for _ in range(count):
-            ts += 1
-            length = rng.randint(1, CALM_MAX_LEN)
-            items = rng.sample(range(1, CALM_UNIVERSE + 1), length)
-            out.append(Transaction(itemset(items), ts))
-
-    calm(calm_len)
-    for _ in range(burst_len):
-        ts += 1
+    out = _baskets(rng, 1, calm_len, CALM_UNIVERSE, CALM_MAX_LEN)
+    for ts in range(calm_len + 1, calm_len + burst_len + 1):
         length = rng.randint(BURST_MIN_LEN, BURST_POOL)
         items = rng.sample(range(BURST_LO, BURST_LO + BURST_POOL), length)
         out.append(Transaction(itemset(items), ts))
-    calm(tail_len)
+    out += _baskets(rng, calm_len + burst_len + 1, tail_len, CALM_UNIVERSE, CALM_MAX_LEN)
     return out

@@ -5,12 +5,10 @@ is (birth, not own, itemset): birth is the timestamp the entry was
 (re)created and own marks an entry born as the arriving transaction's
 own itemset. `Store` owns that index, answers every read and pops
 minima over (count, rank) heap keys. `EntryTable`'s sweep and the
-weeping tree's walk follow `Store`'s one update rule: a stored itemset
-inside the transaction gains exactly one, and only an overlap not yet
-stored is inserted, given delta_prev at most every stored count.
-Eviction takes the lowest count first and the oldest first among ties;
-the own-first bit reproduces the fact that a transaction's fresh entry
-is inserted before its spawn.
+weeping tree's walk follow `Store`'s one update rule. Eviction takes
+the lowest count first and the oldest first among ties; the own-first
+bit reproduces the fact that a transaction's fresh entry is inserted
+before its spawn.
 """
 
 from __future__ import annotations
@@ -45,8 +43,27 @@ class Store:
     proper superset counts more than a stored subset. A stored itemset's
     candidates come only from its supersets, so its own count + 1 wins and
     buffering them would be dead work.
-    Without eviction counts are supports and the invariant is exact; under
-    eviction the tests' `check_store` gates it, and nothing here proves it.
+
+    The invariant is the case a < b of a stronger one, W: for stored a
+    and b with a & b non-empty and b not inside a, some stored y with
+    a & b <= y <= a counts at least b. W holds on the empty store and
+    after every call. `delete_minima` removes minima: if a minimum m was
+    a pair's only y, then m < a, and a counts at least m, which counts
+    at least b, so a is a y. `update` gives each overlap x one more than
+    the best count among its producers, the stored z with
+    z & items == x and, for a new items, the seed at delta_prev; by the
+    invariant before the call that is the rule above. So no count falls,
+    and an overlap counts at least delta_prev + 1 and more than each
+    producer. For a pair (a, b) after the call, let z_a and z_b be best
+    producers of a and b, or the entry itself when it is not inside
+    items. If b's best is the seed, a & items is a y. If a's best is the
+    seed, or z_a contains z_b, then a is inside items and b is not, and
+    b & items is a y. Otherwise W gives a y0 for (z_a, z_b) before the
+    call, and y0 & items is a y after, or y0 when a and b both lie
+    outside items. The proof covers counts, not err ties: an equal-count
+    superset with a smaller err would offer a stored itemset a tighter
+    err, which the rule does not take. That part stays empirical, gated
+    by the tests' reference miner, which takes every producer's bid.
 
     `update` fills `_heap` with one (count, rank) key per keyed record.
     A key may lag a raised count, never lead it, and leaves only with
@@ -120,15 +137,14 @@ class EntryTable(Store):
         every stored count; returns (visits, intersections) as the tree does.
 
         The sweep adds one in place to each stored itemset inside the
-        transaction and skips every other overlap already stored: by the
-        invariant that itemset's own count + 1 wins, so buffering its
-        candidates would be dead work. The buffer, seeded with the
-        transaction's own new itemset as the tree's root is, keeps for each
-        new itemset the highest count, ties toward the smaller err, so the
-        order candidates arrive in does not matter, and inserts each once,
-        at its final estimate. The result has at most 2 * len + 1 entries;
-        no eviction happens here. The sweep visits and intersects every
-        stored entry once, and the seed counts as one more of each.
+        transaction and skips every other overlap already stored. The
+        buffer, seeded with the transaction's own new itemset as the
+        tree's root is, keeps for each new itemset the highest count, ties
+        toward the smaller err, so the order candidates arrive in does not
+        matter, and inserts each once, at its final estimate. The result
+        has at most 2 * len + 1 entries; no eviction happens here. The
+        sweep visits and intersects every stored entry once, and the seed
+        counts as one more of each.
 
         Each overlap is `tuple(filter(inside, alpha))`, where `inside` is
         the `__contains__` of a set of the transaction's items: the filter

@@ -12,21 +12,15 @@ shortcuts:
   subtrees with an empty overlap (descendant-update-skipping), and
   abandoning right siblings once the mask is contained in a node's
   itemset (successor-update-skipping); these four rules are the walk
-  itself and are always on. Because a node's itemset lies inside each
-  ancestor's, narrowing a child by the mask equals narrowing it by the
-  whole transaction, so an update tests membership in one set of the
-  transaction's items at every depth. An overlap is
-  `tuple(filter(inside, alpha))`, where `inside` is that set's
-  `__contains__`: the filter keeps the node's item order, so the overlap
-  is canonical, and it tests membership rather than truth, so item 0
-  stays in. The walk keeps no per-node state:
-  it stamps nothing on the nodes it visits, and it resolves a descent
-  into a leaf and a hit on a leaf in place, without a frame or a
-  subtree pass;
+  itself and are always on. An update tests membership in one set of
+  the transaction's items at every depth and keeps no per-node state
+  (see `WeepingTree.update`);
 * eviction is the shared `Store.delete_minima`, run over a heap of the
-  root's children: after `update`, one exact key per root child; an
-  evicted node's children take its slot under the root and join the
-  heap. Eviction is the only way a node leaves the tree.
+  root's children, where every minimum sits: after `update`, one exact
+  key per root child, and no count changes during eviction, so no key
+  lags its node; an evicted node's children take its slot under the
+  root and join the heap. Eviction is the only way a node leaves the
+  tree.
 
 A node is the flat store's `Record` with its itemset and child links
 added, and no parent link: nothing walks up the tree. The tree keeps
@@ -107,11 +101,6 @@ class WeepingTree(Store):
         A descent into a leaf resolves the leaf's overlap at once (find
         it, or attach it under the leaf) instead of pushing a frame, and
         a hit on a leaf bumps its count in place.
-
-        After `update`, `_heap` holds one exact (count, rank) key per root
-        child, where every minimum sits. No count changes during eviction,
-        so no key lags its node, and `_evicted` keeps the heap one key per
-        root child across repeated `delete_minima` calls.
         """
         require_canonical(items)
         root = self.root

@@ -23,6 +23,9 @@ masks so the soak tests can enumerate supports and representatives
 quickly; they are test-side only. `MaskModel`, which counts every
 itemset of the universe, is the exhaustive reference that
 `enumerate_fis` and `enumerate_delta_closed` are tested against.
+`ReferenceMiner` is the update and deletion rules written from their
+statements, sharing no code with either store; `reference_replay` runs
+it as `process_transaction` runs a store.
 """
 
 from __future__ import annotations
@@ -140,9 +143,9 @@ def check_store(table, k: float, delta: int) -> None:
     subset. That is the invariant `update`'s one rule rests on: a stored
     itemset inside a transaction gets candidates only from the stored
     itemsets that contain it, so its own count + 1 always wins, and
-    buffering its other candidates would be dead work. Without eviction
-    counts are supports and the invariant is exact; under eviction this
-    check is its gate, not a proof.
+    buffering its other candidates would be dead work. `Store`'s
+    docstring proves the invariant for the rule; this check holds the
+    code to it.
     """
     index = table._index
     assert len(table) <= k, (len(table), k)
@@ -284,3 +287,66 @@ class MaskModel:
                     best[sub] = s
                 sub = (sub - 1) & m
         return best
+
+
+# -- reference miner (shares no code with table.py or wtree.py) -----------
+
+
+class ReferenceMiner:
+    """The update rule and the deletion rule, written from their statements.
+
+    A dict alpha -> [count, err, birth, own], with no heap, no index
+    skip and no tree. `update` does not assume the superset invariant the
+    stores rest on: every overlap with the transaction, stored or new,
+    takes the best (count + 1, err) over all the stored itemsets that
+    produce it, the highest count with ties toward the smaller err. A
+    stored itemset inside the transaction is one of its own producers,
+    and a new transaction itemset also bids (delta_prev + 1, delta_prev).
+    `delete_minima` pops the `min` over (count, birth, not own, alpha).
+    """
+
+    def __init__(self) -> None:
+        self.entries: dict[tuple[int, ...], list] = {}
+
+    def update(self, items, delta_prev: int, t: int) -> None:
+        entries = self.entries
+        inside = set(items)
+        bids = {} if items in entries else {items: (delta_prev + 1, delta_prev)}
+        for alpha, (count, err, _, _) in entries.items():
+            beta = tuple(x for x in alpha if x in inside)
+            if beta:
+                bid = (count + 1, err)
+                bids[beta] = max(bids.get(beta, bid), bid, key=lambda b: (b[0], -b[1]))
+        for beta, (count, err) in bids.items():
+            if beta in entries:
+                entries[beta][:2] = count, err
+            else:
+                entries[beta] = [count, err, t, beta == items]
+
+    def delete_minima(self, k: float, floor: float, delta_prev: int) -> int:
+        entries = self.entries
+        delta = delta_prev
+        while entries:
+            alpha = min(entries, key=lambda a: (entries[a][0], entries[a][2], not entries[a][3], a))
+            count = entries[alpha][0]
+            if len(entries) <= k and count > floor:
+                break
+            del entries[alpha]
+            delta = max(delta, count)
+        return delta
+
+    def snapshot(self) -> list[Entry]:
+        """Every entry, in the stores' read order: by (birth, not own, alpha)."""
+        order = sorted(self.entries.items(), key=lambda kv: (kv[1][2], not kv[1][3], kv[0]))
+        return [Entry(alpha, count, err) for alpha, (count, err, _, _) in order]
+
+
+def reference_replay(stream, k: float, epsilon: float):
+    """Yield (delta, snapshot) after each transaction, evicting as
+    `process_transaction` does: floor epsilon * i after each update."""
+    miner = ReferenceMiner()
+    delta = 0
+    for t in stream:
+        miner.update(t.items, delta, t.timestamp)
+        delta = miner.delete_minima(k, epsilon * t.timestamp, delta)
+        yield delta, miner.snapshot()

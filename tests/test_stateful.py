@@ -1,5 +1,6 @@
-"""A stateful property: the flat store and the weeping tree, driven by one
-random sequence of calls, stay observationally identical.
+"""A stateful property: the flat store, the weeping tree and the test-side
+reference miner, driven by one random sequence of calls, stay
+observationally identical.
 
 Hypothesis draws a budget k, then interleaves updates at consecutive
 timestamps, evictions at any floor (repeated, or with no update in
@@ -9,9 +10,10 @@ smallest stored count, the whole range the stores' precondition allows;
 either way it must follow the one update rule: every stored itemset
 inside the transaction gains exactly one and keeps its err, every other
 record is unchanged, and every new entry counts at least delta_prev + 1.
-After every rule the two stores hold equal snapshots and pass
-`check_store`, whose key rule is the heap contract `delete_minima` relies
-on and whose superset rule is the invariant the update rule rests on.
+After every rule the reference holds the same snapshot as both stores,
+which pass `check_store`, whose key rule is the heap contract
+`delete_minima` relies on and whose superset rule is the invariant the
+update rule rests on.
 While no eviction could have fired (k = inf and every floor 0) and every
 update passed delta_prev 0, the snapshot is exactly the closed itemsets
 of the updates so far.
@@ -34,7 +36,7 @@ from parasol import (
     verify_delta_covered_set,
 )
 
-from helpers import as_dict, check_store
+from helpers import ReferenceMiner, as_dict, check_store
 
 ITEMSETS = st.lists(st.integers(0, 5), min_size=1, max_size=5).map(itemset)
 FLOORS = st.one_of(st.just(0), st.integers(1, 4), st.floats(0, 4))
@@ -46,6 +48,7 @@ class StoresAgree(RuleBasedStateMachine):
     def start(self, k):
         self.flat = EntryTable()
         self.tree = WeepingTree()
+        self.reference = ReferenceMiner()
         self.k = k
         self.bound = k  # the size bound the last call left in force
         self.delta = 0
@@ -64,6 +67,7 @@ class StoresAgree(RuleBasedStateMachine):
                 assert after[alpha] == (count + gain, err), (alpha, before[alpha], after[alpha])
             for alpha in after.keys() - before.keys():
                 assert after[alpha][0] >= delta_prev + 1, (alpha, after[alpha], delta_prev)
+        self.reference.update(items, delta_prev, t.timestamp)
         self.bound = math.inf  # up to 2 * size + 1 entries until the next eviction
 
     @rule(items=ITEMSETS)
@@ -84,6 +88,7 @@ class StoresAgree(RuleBasedStateMachine):
     def delete_minima(self, floor):
         delta = self.flat.delete_minima(self.k, floor, self.delta)
         assert self.tree.delete_minima(self.k, floor, self.delta) == delta
+        assert self.reference.delete_minima(self.k, floor, self.delta) == delta
         assert delta >= self.delta
         self.delta = delta
         self.bound = self.k
@@ -111,7 +116,7 @@ class StoresAgree(RuleBasedStateMachine):
     @invariant()
     def stores_agree(self):
         snap = self.flat.snapshot()
-        assert self.tree.snapshot() == snap
+        assert self.tree.snapshot() == snap == self.reference.snapshot()
         check_store(self.flat, self.bound, self.delta)
         check_store(self.tree, self.bound, self.delta)
         if self.exact:
