@@ -18,7 +18,7 @@ from . import engine, fimi
 
 MODES = ("baseline", "parasol", "exact")
 BACKENDS = tuple(engine.BACKENDS)
-COMPRESS = ("off", "flat", "two-step")
+COMPRESS = ("off", "flat")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -40,8 +40,6 @@ def _check(args: argparse.Namespace) -> None:
         raise UsageError("sigma must lie in [0, 1]")
     if args.stride < 1:
         raise UsageError("stride must be positive")
-    if args.compress == "two-step" and args.backend != "wtree":
-        raise UsageError("two-step compression needs --backend wtree")
 
 
 def _open(path: str, mode: str, **kwargs: str) -> IO[str]:
@@ -76,9 +74,7 @@ def run(args: argparse.Namespace) -> int:
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     k_n = len(state.table)  # the mined size: compression summarises, it never trims the table
-    if args.compress == "two-step":
-        final_entries = compress_mod.compress_two_step(state.table, state.delta)
-    elif args.compress == "flat":
+    if args.compress == "flat":
         final_entries = compress_mod.delta_compress(state.snapshot(), state.delta)
     else:
         final_entries = state.snapshot()

@@ -10,17 +10,17 @@ stays at least that of everything it absorbed: the output still
 delta_n-covers the frequent itemsets, after a sigma filter too, and is
 never larger than the input.
 
-`delta_compress` tries every pair and `precompress_scan` only the
-weeping tree's parent-child edges. Neither touches the store it reads,
-so a stream can go on after either.
+`delta_compress` is the one route, for either store: it tries every
+pair of the entries it is given, and never touches the store they came
+from, so a stream can go on after it.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .itemsets import Entry, Items
-from .wtree import WeepingTree
+from .itemsets import Entry
+from .table import Store
 
 
 def _qualifies(e1: Entry, e2: Entry, delta_n: int) -> bool:
@@ -62,42 +62,10 @@ def delta_compress(entries: Iterable[Entry], delta_n: int) -> list[Entry]:
             return pool
 
 
-def precompress_scan(tree: WeepingTree, delta_n: int) -> list[Entry]:
-    """One bottom-up pass absorbing children their tree parent covers.
+def compress_two_step(store: Store, delta_n: int) -> list[Entry]:
+    """`delta_compress` of the store's snapshot, leaving the store as it was.
 
-    A child is absorbed when its count <= parent.count - parent.err +
-    delta_n (its itemset is a subset of the parent's by construction, so
-    the parent covers it within delta_n). The parent keeps the larger
-    count and widens its err by any rise. Nodes are visited in
-    reverse depth-first order, so each node's estimate is final before
-    its parent tests it, and each parent tests its children left to
-    right. Each edge is tested once: an absorbed child's children are not
-    tested against the absorber, and the root's children have no
-    covering parent. Since absorption keeps the parent's pivot, the
-    test reads the parent's stored estimate.
-
-    Returns the survivors with their absorbed estimates, in `snapshot()`
-    order; the tree is left as it was.
+    This name stays only because callers use it: it is in
+    `parasol.__all__`, and the benchmark's `drift` replay calls it.
     """
-    est: dict[Items, tuple[int, int]] = {}
-    for node in reversed(list(tree.nodes())):
-        count, err = node.count, node.err
-        ceiling = count - err + delta_n
-        for child in node.children:
-            child_count = est[child.alpha][0]
-            if child_count <= ceiling:
-                del est[child.alpha]
-                count, err = _absorb(count, err, child_count)
-        est[node.alpha] = count, err
-    return [Entry(e.alpha, *est[e.alpha]) for e in tree.snapshot() if e.alpha in est]
-
-
-def compress_two_step(tree: WeepingTree, delta_n: int) -> list[Entry]:
-    """Linear parent-child absorption pass, then full pairwise compaction.
-
-    Both steps preserve the covering guarantee and leave the tree as it
-    was, and the result is no larger than the pre-pass output. It can be
-    larger than direct `delta_compress` of the snapshot would leave: the
-    two routes keep different survivors, and both are valid summaries.
-    """
-    return delta_compress(precompress_scan(tree, delta_n), delta_n)
+    return delta_compress(store.snapshot(), delta_n)

@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
-from .itemsets import Entry, Transaction, itemset
+from .itemsets import Entry, Transaction
 
 
 # A character no line may hold: non-ASCII, or one of the ASCII controls
@@ -64,7 +64,7 @@ def parse_fimi(
             bad = next(tok for tok in tokens if not tok.isdigit())
             raise ParseError(lineno, f"not a non-negative integer item: {bad!r}")
         try:
-            items = itemset(map(int, tokens))
+            items = tuple(sorted({*map(int, tokens)}))
         except ValueError:  # only a token past int()'s digit limit gets here
             limit = sys.get_int_max_str_digits()
             raise ParseError(lineno, f"item longer than {limit} digits") from None

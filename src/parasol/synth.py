@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .itemsets import Transaction, itemset
+from .itemsets import Transaction
 
 CALM_UNIVERSE = 24
 CALM_MAX_LEN = 4
@@ -28,7 +28,7 @@ def _baskets(
     pool = range(1, universe + 1)
     top = min(max_len, universe)
     return [
-        Transaction(itemset(rng.sample(pool, rng.randint(1, top))), ts)
+        Transaction(tuple(sorted(rng.sample(pool, rng.randint(1, top)))), ts)
         for ts in range(first, first + n)
     ]
 
@@ -56,6 +56,6 @@ def burst_stream(
     for ts in range(calm_len + 1, calm_len + burst_len + 1):
         length = rng.randint(BURST_MIN_LEN, BURST_POOL)
         items = rng.sample(range(BURST_LO, BURST_LO + BURST_POOL), length)
-        out.append(Transaction(itemset(items), ts))
+        out.append(Transaction(tuple(sorted(items)), ts))
     out += _baskets(rng, calm_len + burst_len + 1, tail_len, CALM_UNIVERSE, CALM_MAX_LEN)
     return out

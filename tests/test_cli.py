@@ -88,7 +88,7 @@ def test_baseline_worked_run(drop_one_file, tmp_path, capsys):
 
 def test_backends_and_compression_agree_on_results(drop_one_file, tmp_path):
     outs = []
-    for backend, comp in (("flat", "flat"), ("wtree", "flat"), ("wtree", "two-step")):
+    for backend, comp in (("flat", "flat"), ("wtree", "flat")):
         out = tmp_path / f"{backend}-{comp}.tsv"
         code = run_cli(
             [
@@ -113,7 +113,7 @@ def test_k_n_is_the_mined_size_whatever_the_compression(tmp_path, capsys):
     with open(path, "w") as fh:
         write_fimi(DROP_ONE, fh)
     sizes = {}
-    for comp in ("off", "flat", "two-step"):
+    for comp in COMPRESS:
         code = run_cli(
             [
                 "--input", str(path),
@@ -127,7 +127,7 @@ def test_k_n_is_the_mined_size_whatever_the_compression(tmp_path, capsys):
         )
         assert code == EXIT_OK
         sizes[comp] = json.loads(capsys.readouterr().out)["k_n"]
-    assert sizes == {"off": 11, "flat": 11, "two-step": 11}
+    assert sizes == {"off": 11, "flat": 11}
 
 
 def test_compression_keeps_a_cover_of_a_frequent_singleton(tmp_path):
@@ -157,7 +157,7 @@ def test_compression_keeps_a_cover_of_a_frequent_singleton(tmp_path):
         assert code == EXIT_OK
         tables[comp] = read_result(out)
     assert tables["off"] == [Entry((4,), 11, 0)]
-    assert tables["flat"] == tables["two-step"] == [Entry((2, 4), 11, 6)]
+    assert tables["flat"] == [Entry((2, 4), 11, 6)]
 
 
 # options per input: alphabets of 851 and 38 items, far past what a
@@ -167,8 +167,8 @@ WIDE = {
     "sparse": ["--mode", "parasol", "--epsilon", "0.005", "--k", "200", "--sigma", "0.04"],
     "burst": ["--mode", "parasol", "--epsilon", "0.005", "--k", "150", "--sigma", "0.08"],
 }
-# every --compress route on every backend that takes it
-ROUTES = [(b, c) for b in BACKENDS for c in COMPRESS if c != "two-step" or b == "wtree"]
+# every --compress route on every backend
+ROUTES = [(b, c) for b in BACKENDS for c in COMPRESS]
 
 
 @pytest.mark.parametrize("source", sorted(WIDE))
@@ -254,12 +254,9 @@ def test_usage_errors(drop_one_file, capsys):
         assert run_cli(args) == EXIT_USAGE
     for flag, value in (("--sigma", "1.5"), ("--stride", "0")):
         assert run_cli(["--input", drop_one_file, "--mode", "exact", flag, value]) == EXIT_USAGE
-    assert (
-        run_cli(
-            ["--input", drop_one_file, "--mode", "baseline", "--compress", "two-step"]
-        )
-        == EXIT_USAGE
-    )
+    for backend in BACKENDS:  # not a --compress value, whatever the backend
+        args = ["--input", drop_one_file, "--mode", "baseline", "--backend", backend]
+        assert run_cli([*args, "--compress", "two-step"]) == EXIT_USAGE
     capsys.readouterr()
 
 

@@ -1,6 +1,6 @@
 """The CLI's outputs, pinned across commits.
 
-Fourteen CLI runs over three seeded inputs each hash their result table,
+Thirteen CLI runs over three seeded inputs each hash their result table,
 their `--metrics --stride 7` file and their `--summary-json` line without
 `time_ms`; the digests must equal `data/cli_outputs.json`. A change that
 alters an output on purpose updates that file and says why.
@@ -31,18 +31,17 @@ BURST = ["--mode", "parasol", "--epsilon", "0.015", "--k", "100", "--sigma", "0.
 RUNS = [
     ("sparse", SPARSE, "flat", "flat"),
     ("sparse", SPARSE, "wtree", "flat"),
-    ("sparse", SPARSE, "wtree", "two-step"),
     ("sparse", SPARSE, "flat", "off"),
     ("sparse", SPARSE_BASELINE, "flat", "off"),
     ("sparse", SPARSE_BASELINE, "wtree", "off"),
     ("dense", DENSE_WIDE, "flat", "off"),
     ("dense", DENSE_WIDE, "wtree", "off"),
-    ("dense", DENSE_TIGHT, "wtree", "two-step"),
+    ("dense", DENSE_TIGHT, "wtree", "flat"),
     ("dense", DENSE_EXACT, "flat", "off"),
     ("dense", DENSE_EXACT, "wtree", "off"),
     ("burst", BURST, "flat", "off"),
     ("burst", BURST, "wtree", "off"),
-    ("burst", BURST, "wtree", "two-step"),
+    ("burst", BURST, "wtree", "flat"),
 ]
 
 

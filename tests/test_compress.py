@@ -11,7 +11,6 @@ from parasol import (
     random_stream,
     replay,
 )
-from parasol.compress import precompress_scan
 from parasol.engine import answer
 from parasol.oracle import enumerate_closed, true_support, verify_delta_covered_set
 
@@ -84,23 +83,21 @@ def test_compressed_entries_keep_support_brackets():
 
 
 def test_two_step_runs_scan_then_pairwise():
-    state = replay(DROP_ONE, epsilon=0.25, k=15, backend="wtree")
-    out = compress_two_step(state.table, state.delta)
-    # the linear pass removed the four coverable children; the pairwise
-    # phase found nothing further on this input
-    assert len(out) == 7
-    got = as_dict(out)
-    assert got[(4, 5)] == (4, 1)
-    assert (5,) not in got and (1, 5) not in got
+    # one compression route, whichever store was mined
+    for backend in ("flat", "wtree"):
+        state = replay(DROP_ONE, epsilon=0.25, k=15, backend=backend)
+        out = compress_two_step(state.table, state.delta)
+        assert out == delta_compress(state.snapshot(), state.delta)
+        assert len(out) == 7
 
 
 def test_two_step_identity_when_nothing_qualifies():
-    state = replay(DROP_ONE, backend="wtree")
-    before = as_dict(state.snapshot())
-    out = compress_two_step(state.table, 0)
     # exact replay: closed itemsets with exact counts, nothing coverable
     # except equal-count subset pairs, which this stream does not have
-    assert as_dict(out) == before
+    for backend in ("flat", "wtree"):
+        state = replay(DROP_ONE, backend=backend)
+        out = compress_two_step(state.table, 0)
+        assert out == delta_compress(state.snapshot(), 0) == state.snapshot()
 
 
 def test_two_step_sound_and_size_monotone():
@@ -111,25 +108,6 @@ def test_two_step_sound_and_size_monotone():
         out = compress_two_step(state.table, state.delta)
         assert len(out) <= size_before
         check_compressed(out, stream, state.delta)
-
-
-def test_prescan_removes_a_positive_fraction_on_dense_input():
-    # dense, heavily nested tables give the linear parent-child pass
-    # real work to do before the quadratic phase
-    from parasol import Transaction, itemset
-
-    rng = random.Random(2024)
-    stream = [
-        Transaction(itemset(rng.sample(range(1, 11), rng.randint(6, 9))), i)
-        for i in range(1, 161)
-    ]
-    state = replay(stream, k=200, epsilon=0.05, backend="wtree")
-    size_before = len(state.table)
-    survivors = precompress_scan(state.table, state.delta)
-    assert len(survivors) < size_before
-    assert len(state.table) == size_before
-    out = delta_compress(survivors, state.delta)
-    assert len(out) <= len(survivors)
 
 
 def test_two_step_leaves_a_continuing_stream_unchanged():

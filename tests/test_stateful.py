@@ -4,7 +4,7 @@ observationally identical.
 
 Hypothesis draws a budget k, then interleaves updates at consecutive
 timestamps, evictions at any floor (repeated, or with no update in
-between), snapshot reads above a threshold, and both compression routes.
+between), snapshot reads above a threshold, and compression under both names.
 An update passes the running delta, or any delta_prev from it up to the
 smallest stored count, the whole range the stores' precondition allows;
 either way it must follow the one update rule: every stored itemset
@@ -104,14 +104,14 @@ class StoresAgree(RuleBasedStateMachine):
         dump = self.tree.dump()
         pairwise = delta_compress(self.flat.snapshot(), self.delta)
         assert delta_compress(self.tree.snapshot(), self.delta) == pairwise
-        two_step = compress_two_step(self.tree, self.delta)
+        assert compress_two_step(self.flat, self.delta) == pairwise
+        assert compress_two_step(self.tree, self.delta) == pairwise
         assert self.flat.snapshot() == self.tree.snapshot() == before
         assert self.tree.dump() == dump
         n = len(self.stream)
         for sigma in (0.2, 0.5):
             if n and self.delta <= sigma * n:
-                for out in (pairwise, two_step):
-                    assert verify_delta_covered_set(out, self.stream, sigma, self.delta)
+                assert verify_delta_covered_set(pairwise, self.stream, sigma, self.delta)
 
     @invariant()
     def stores_agree(self):

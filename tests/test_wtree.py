@@ -5,7 +5,6 @@ import sys
 import pytest
 
 from parasol import Transaction, WeepingTree, itemset, random_stream, replay
-from parasol.compress import precompress_scan
 from parasol.engine import StreamState, process_transaction
 
 from helpers import (
@@ -259,48 +258,6 @@ class TestDeleteMinima:
                 low = min(e.count for e in tree.snapshot())
                 shallow = {c.count for c in tree.root.children}
                 assert low in shallow
-
-
-class TestPrecompressScan:
-    def test_removes_covered_children_once(self):
-        state = replay(DROP_ONE, epsilon=0.25, k=15, backend="wtree")
-        survivors = as_dict(precompress_scan(state.table, state.delta))
-        removed = {(e.alpha, e.count, e.err) for e in state.snapshot() if e.alpha not in survivors}
-        assert removed == {
-            ((5,), 4, 0),
-            ((3, 5), 3, 0),
-            ((2, 5), 3, 0),
-            ((1, 5), 3, 0),
-        }
-        assert len(survivors) == 7
-        assert survivors[(4, 5)] == (4, 1)  # absorbed the dropped singleton
-        assert survivors[(3, 4, 5)] == (3, 1)
-        assert state.table.dump() == REDUCED_TREE
-
-    def test_no_qualifying_pairs_is_identity(self):
-        state = replay(DROP_ONE, backend="wtree")
-        before = state.table.dump()
-        assert precompress_scan(state.table, 0) == state.snapshot()
-        assert state.table.dump() == before
-
-    def test_absorbed_childs_children_are_not_retested(self):
-        # (1, 2) is absorbed into (1, 2, 3); its child (1,) fails its own
-        # parent's test and is not tested against (1, 2, 3), which would
-        # take it. Updates have not been seen to build a child whose pivot
-        # lies below its parent's, without which the two rules agree, so
-        # the tree is built by hand.
-        tree = WeepingTree()
-        top = tree._attach(tree.root, (1, 2, 3), 5, 0, 1, own=False)
-        mid = tree._attach(top, (1, 2), 5, 3, 2, own=False)
-        tree._attach(mid, (1,), 6, 0, 3, own=False)
-        assert as_dict(precompress_scan(tree, 1)) == {(1, 2, 3): (5, 0), (1,): (6, 0)}
-
-    def test_tree_dump_is_unchanged_afterwards(self):
-        for _, stream in random_streams(30, base_seed=23):
-            state = replay(stream, k=5, backend="wtree")
-            before = state.table.dump()
-            precompress_scan(state.table, state.delta)
-            assert state.table.dump() == before
 
 
 class TestDump:
