@@ -8,7 +8,7 @@ policy that uses the error parameter normally and falls back to
 size-driven eviction only under memory pressure.
 """
 
-from .compress import compress_two_step, delta_compress
+from .compress import delta_compress
 from .engine import QueryResult, StreamState, TimestampGap, process_transaction, query, replay
 from .fimi import ParseError, ParseStats, parse_fimi, write_fimi, write_metrics, write_result
 from .itemsets import Entry, Items, Transaction, itemset
@@ -37,7 +37,6 @@ __all__ = [
     "Transaction",
     "WeepingTree",
     "burst_stream",
-    "compress_two_step",
     "delta_compress",
     "enumerate_closed",
     "enumerate_delta_closed",

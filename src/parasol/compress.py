@@ -65,7 +65,7 @@ def delta_compress(entries: Iterable[Entry], delta_n: int) -> list[Entry]:
 def compress_two_step(store: Store, delta_n: int) -> list[Entry]:
     """`delta_compress` of the store's snapshot, leaving the store as it was.
 
-    This name stays only because callers use it: it is in
-    `parasol.__all__`, and the benchmark's `drift` replay calls it.
+    The benchmark's `drift` replay (`perfbench/replay.py`) is its only
+    caller, and its tracer wraps this name; the package does not export it.
     """
     return delta_compress(store.snapshot(), delta_n)

@@ -11,7 +11,8 @@ Streams used repeatedly:
   {1,2,3,4} has supports 5, 4, 4, 3, the pinned configuration for the
   cover-predicate and delta-closed examples.
 
-GRID is the (k, epsilon) grid of the stepwise backend comparison.
+GRID is the (k, epsilon) grid of the short streams in the stepwise
+comparison with the reference miner.
 `zipf_stream` draws sparse baskets over a wide alphabet, far past what
 a power set could list; every oracle check runs on any alphabet.
 `sparse` maps a stream over ids 1-9 onto SPARSE_IDS, which start at 0.
@@ -25,7 +26,10 @@ itemset of the universe, is the exhaustive reference that
 `enumerate_fis` and `enumerate_delta_closed` are tested against.
 `ReferenceMiner` is the update and deletion rules written from their
 statements, sharing no code with either store; `reference_replay` runs
-it as `process_transaction` runs a store.
+it as `process_transaction` runs a store. `replay_checked` is the one
+stepwise check of the stores: it replays a stream on both beside a
+single reference replay and holds each store to the reference and to
+`check_store` after every step.
 """
 
 from __future__ import annotations
@@ -34,7 +38,15 @@ import itertools
 import math
 import random
 
-from parasol import Entry, Transaction, WeepingTree, itemset, random_stream
+from parasol import (
+    Entry,
+    StreamState,
+    Transaction,
+    WeepingTree,
+    itemset,
+    process_transaction,
+    random_stream,
+)
 
 UNIVERSE5 = (1, 2, 3, 4, 5)
 
@@ -113,20 +125,6 @@ def covers(x_bits, y_bits) -> bool:
     return all(y[j] == x[j] for j in range(last))
 
 
-def check_invariants(state) -> None:
-    """Assert the invariants of a `StreamState` after a step.
-
-    The last step's delta is the state's, and it is no less than the step
-    before's; the store then passes `check_store` at the state's k and
-    delta.
-    """
-    steps = state.steps
-    assert steps[-1].delta == state.delta, (steps[-1].delta, state.delta)
-    if len(steps) > 1:
-        assert steps[-2].delta <= steps[-1].delta, (steps[-2].delta, steps[-1].delta)
-    check_store(state.table, state.k, state.delta)
-
-
 def check_store(table, k: float, delta: int) -> None:
     """Assert the structural invariants of a store between calls.
 
@@ -174,9 +172,8 @@ def check_store(table, k: float, delta: int) -> None:
         assert rank is rec.rank, (rank, rec.rank)
         assert count <= rec.count, (rank, count, rec.count)
     by_count = sorted((rec.count, frozenset(alpha)) for alpha, rec in index.items())
-    for j, (count, sub) in enumerate(by_count):
-        for above, sup in by_count[j + 1 :]:
-            assert above == count or not sub < sup, (sorted(sub), count, sorted(sup), above)
+    for (count, sub), (above, sup) in itertools.combinations(by_count, 2):
+        assert above == count or not sub < sup, (sorted(sub), count, sorted(sup), above)
 
 
 def check_walk_visits(tree, visits: int) -> None:
@@ -310,25 +307,26 @@ class ReferenceMiner:
 
     def update(self, items, delta_prev: int, t: int) -> None:
         entries = self.entries
-        inside = set(items)
-        bids = {} if items in entries else {items: (delta_prev + 1, delta_prev)}
+        inside = set(items).__contains__
+        # a bid is (count, -err), so the larger bid wins
+        bids = {} if items in entries else {items: (delta_prev + 1, -delta_prev)}
         for alpha, (count, err, _, _) in entries.items():
-            beta = tuple(x for x in alpha if x in inside)
+            beta = tuple(filter(inside, alpha))
             if beta:
-                bid = (count + 1, err)
-                bids[beta] = max(bids.get(beta, bid), bid, key=lambda b: (b[0], -b[1]))
+                bids[beta] = max(bids.get(beta, ()), (count + 1, -err))
         for beta, (count, err) in bids.items():
             if beta in entries:
-                entries[beta][:2] = count, err
+                entries[beta][:2] = count, -err
             else:
-                entries[beta] = [count, err, t, beta == items]
+                entries[beta] = [count, -err, t, beta == items]
 
     def delete_minima(self, k: float, floor: float, delta_prev: int) -> int:
         entries = self.entries
         delta = delta_prev
         while entries:
-            alpha = min(entries, key=lambda a: (entries[a][0], entries[a][2], not entries[a][3], a))
-            count = entries[alpha][0]
+            alpha, (count, _, _, _) = min(
+                entries.items(), key=lambda kv: (kv[1][0], kv[1][2], not kv[1][3], kv[0])
+            )
             if len(entries) <= k and count > floor:
                 break
             del entries[alpha]
@@ -350,3 +348,29 @@ def reference_replay(stream, k: float, epsilon: float):
         miner.update(t.items, delta, t.timestamp)
         delta = miner.delete_minima(k, epsilon * t.timestamp, delta)
         yield delta, miner.snapshot()
+
+
+def replay_checked(stream, k: float, epsilon: float):
+    """Replay a stream on a flat and a weeping-tree `StreamState` beside
+    one `reference_replay` of it, and return the two states.
+
+    After every step each store passes `check_store` at k and the
+    reference's delta, has that delta, which never falls, and reads the
+    reference's snapshot in its order; its length is the snapshot's and
+    every snapshot itemset is `in` it, so membership is exactly the
+    snapshot. Stores that both match the reference match each other.
+    """
+    states = [StreamState(k=k, epsilon=epsilon, backend=b) for b in ("flat", "wtree")]
+    last = 0
+    for t, (delta, snap) in zip(stream, reference_replay(stream, k, epsilon)):
+        for state in states:
+            process_transaction(state, t)
+            table = state.table
+            where = (k, epsilon, state.backend, t.timestamp)
+            assert last <= state.delta == delta, (where, last, state.delta, delta)
+            check_store(table, k, delta)
+            assert state.snapshot() == snap, where
+            assert len(table) == len(snap), where
+            assert all(e.alpha in table for e in snap), where
+        last = delta
+    return tuple(states)

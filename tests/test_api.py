@@ -15,7 +15,6 @@ EXPORTED = {
     "Transaction",
     "WeepingTree",
     "burst_stream",
-    "compress_two_step",
     "delta_compress",
     "enumerate_closed",
     "enumerate_delta_closed",
@@ -40,7 +39,7 @@ def test_public_surface():
     exec("from parasol import *", namespace)
     assert set(parasol.__all__) <= namespace.keys()
 
-    assert len(parasol.__all__) == 28
+    assert len(parasol.__all__) == 27
     assert set(parasol.__all__) == EXPORTED
 
     # perfbench/tracing.py wraps these engine steps by name, unexported;

@@ -5,12 +5,12 @@ import random
 from parasol import (
     Entry,
     StreamState,
-    compress_two_step,
     delta_compress,
     process_transaction,
     random_stream,
     replay,
 )
+from parasol.compress import compress_two_step
 from parasol.engine import answer
 from parasol.oracle import enumerate_closed, true_support, verify_delta_covered_set
 

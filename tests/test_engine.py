@@ -14,7 +14,7 @@ from parasol import (
     random_stream,
     replay,
 )
-from parasol.engine import answer, intersect_step, parasol_delete, rc_delete
+from parasol.engine import answer
 from parasol.oracle import enumerate_closed, verify_delta_covered_set
 from parasol.table import EntryTable
 
@@ -32,7 +32,7 @@ def table_of(rows):
 class TestIntersectStep:
     def test_first_transaction(self):
         t = EntryTable()
-        assert intersect_step(t, Transaction((1, 2), 1), 0) == (1, 1)
+        assert t.update((1, 2), 0, 1) == (1, 1)
         assert as_dict(t.snapshot()) == {(1, 2): (1, 0)}
 
     def test_no_eviction_replay_counts_closed_sets(self):
@@ -53,7 +53,7 @@ class TestIntersectStep:
         )
         # the new (1, 3, 5) seeds the buffer: three stored entries swept, and
         # the seed counts as a fourth visit and intersection
-        assert intersect_step(t, Transaction((1, 3, 5), 5), 3) == (4, 4)
+        assert t.update((1, 3, 5), 3, 5) == (4, 4)
         assert as_dict(t.snapshot()) == {
             (5,): (5, 0),
             (1, 5): (4, 0),
@@ -67,7 +67,7 @@ class TestIntersectStep:
             delta = 0
             for tr in stream:
                 before = len(t)
-                intersect_step(t, tr, delta)
+                t.update(tr.items, delta, tr.timestamp)
                 assert len(t) <= 2 * before + 1
 
     def test_candidate_merge_is_iteration_order_independent(self):
@@ -86,14 +86,14 @@ class TestIntersectStep:
             for _ in range(4):
                 rng.shuffle(rows)
                 t = table_of(rows)
-                intersect_step(t, nxt, state.delta)  # at most every stored count
+                t.update(nxt.items, state.delta, nxt.timestamp)  # at most every stored count
                 outputs.append(as_dict(t.snapshot()))
             assert all(o == outputs[0] for o in outputs)
 
     def test_repeated_transaction_reuses_entry(self):
         t = EntryTable()
-        intersect_step(t, Transaction((1, 2), 1), 0)
-        assert intersect_step(t, Transaction((1, 2), 2), 0) == (1, 1)
+        t.update((1, 2), 0, 1)
+        assert t.update((1, 2), 0, 2) == (1, 1)
         assert as_dict(t.snapshot()) == {(1, 2): (2, 0)}
 
     def test_new_entry_is_keyed_at_its_count(self):
@@ -112,7 +112,7 @@ class TestDeletion:
         for t in DROP_ONE[:3]:
             process_transaction(state, t)
         table = state.table
-        delta = rc_delete(table, 3, state.delta)
+        delta = table.delete_minima(3, 0, state.delta)
         assert len(table) == 3
         assert delta == 2
         assert as_dict(table.snapshot()) == {
@@ -123,7 +123,7 @@ class TestDeletion:
 
     def test_rc_delete_noop_below_k(self):
         t = table_of([((1,), 3, 0, 1, False)])
-        delta = rc_delete(t, 5, 1)
+        delta = t.delete_minima(5, 0, 1)
         assert len(t) == 1 and delta == 1
 
     def test_worked_fifth_step_deletes_unique_minimum(self):
@@ -134,8 +134,8 @@ class TestDeletion:
                 ((5,), 4, 0, 4, False),
             ]
         )
-        intersect_step(t, Transaction((1, 3, 5), 5), 3)
-        delta = rc_delete(t, 3, 3)
+        t.update((1, 3, 5), 3, 5)
+        delta = t.delete_minima(3, 0, 3)
         assert delta == 3
         assert as_dict(t.snapshot()) == {
             (5,): (5, 0),
@@ -148,14 +148,14 @@ class TestDeletion:
         for t in DROP_ONE:
             process_transaction(state, t)
         assert len(state.table) == 15
-        delta = parasol_delete(state.table, 15, 0.25, 4, state.delta)
+        delta = state.table.delete_minima(15, 0.25 * 4, state.delta)  # epsilon * i
         assert delta == 1
         assert len(state.table) == 11
         assert all(e.count >= 2 for e in state.table.snapshot())
 
     def test_parasol_delete_pure_rc_when_epsilon_zero(self):
         t = table_of([((1,), 1, 0, 1, False), ((2,), 2, 0, 2, False)])
-        delta = parasol_delete(t, 5, 0.0, 9, 0)
+        delta = t.delete_minima(5, 0.0 * 9, 0)
         assert len(t) == 2 and delta == 0  # counts >= 1 > 0
 
     @pytest.mark.parametrize("backend", ["flat", "wtree"])
@@ -182,12 +182,12 @@ class TestDeletion:
             ]
         )
         for ts in (4, 5):
-            intersect_step(t, Transaction((1,), ts), 0)
+            t.update((1,), 0, ts)
         assert len(t._heap) == len(t) == 3
-        delta = rc_delete(t, 2, 0)
+        delta = t.delete_minima(2, 0, 0)
         assert as_dict(t.snapshot()) == {(1,): (3, 0), (3,): (5, 0)} and delta == 2
         # the re-keyed entry is evicted next, and delta takes its current count
-        delta = rc_delete(t, 1, delta)
+        delta = t.delete_minima(1, 0, delta)
         assert as_dict(t.snapshot()) == {(3,): (5, 0)} and delta == 3
 
     def test_min_extraction_prefers_oldest(self):
@@ -198,9 +198,9 @@ class TestDeletion:
                 ((9,), 1, 0, 2, False),
             ]
         )
-        rc_delete(t, 2, 0)
+        t.delete_minima(2, 0, 0)
         assert [e.alpha for e in t.snapshot()] == [(9,), (7,)]
-        rc_delete(t, 1, 0)
+        t.delete_minima(1, 0, 0)
         assert [e.alpha for e in t.snapshot()] == [(7,)]
 
     def test_min_extraction_prefers_transaction_entry_within_step(self):
@@ -211,7 +211,7 @@ class TestDeletion:
             ]
         )
         # (1, 2) sorts first, so only the own-first bit picks (1, 2, 3)
-        delta = rc_delete(t, 1, 0)
+        delta = t.delete_minima(1, 0, 0)
         assert [e.alpha for e in t.snapshot()] == [(1, 2)] and delta == 3
 
 
@@ -242,7 +242,7 @@ class TestProcessTransaction:
         # entry must enter as (2, 2) and leave the sweep at (3, 2)
         state = replay(DROP_ONE[:3], k=3)
         t4 = DROP_ONE[3]
-        intersect_step(state.table, t4, state.delta)
+        state.table.update(t4.items, state.delta, t4.timestamp)
         e = state.table.get(t4.items)
         assert (e.count, e.err) == (3, 2)
 

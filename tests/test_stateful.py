@@ -29,12 +29,12 @@ from parasol import (
     EntryTable,
     Transaction,
     WeepingTree,
-    compress_two_step,
     delta_compress,
     enumerate_closed,
     itemset,
     verify_delta_covered_set,
 )
+from parasol.compress import compress_two_step
 
 from helpers import ReferenceMiner, as_dict, check_store
 
