@@ -12,12 +12,13 @@ itemset's (delta_prev + 1, delta_prev) seed included. It also pins
 what only the tree does: pushing evicted nodes' children, splicing
 them into the evicted slot and rebuilding the root heap.
 
-Four stream families, each with its own (k, epsilon) configurations:
-short random streams over the whole `GRID`; 300-transaction streams on
-ids 1-9 under a binding budget, where the flat heap re-keys raised
-counts and thousands of entries are evicted for size; their `sparse`
-copies, whose ids start at 0 and pass 2**31; and shuffled repeats over
-2-5 items, long runs of in-place increments.
+Five stream families, each with its own (k, epsilon) configurations:
+250 short random streams of up to 20 transactions over the whole
+`GRID`, and 150 of up to 12 over it again from other seeds;
+300-transaction streams on ids 1-9 under a binding budget, where the
+flat heap re-keys raised counts and thousands of entries are evicted
+for size; their `sparse` copies, whose ids start at 0 and pass 2**31;
+and shuffled repeats over 2-5 items, long runs of in-place increments.
 """
 
 import math
@@ -30,8 +31,8 @@ from parasol import Transaction, random_stream
 from helpers import GRID, random_streams, replay_checked, sparse
 
 
-def short():
-    for _, stream in random_streams(250, base_seed=70_000, max_n=20):
+def short(count=250, base_seed=70_000, max_n=20):
+    for _, stream in random_streams(count, base_seed=base_seed, max_n=max_n):
         for k, eps in GRID:
             yield stream, k, eps
 
@@ -58,14 +59,19 @@ def duplicates():
 
 
 FAMILIES = {
-    "short": short,
+    "random": lambda: short(150, base_seed=5_000, max_n=12),
     "long": long,
     "sparse": lambda: long(sparse_ids=True),
     "duplicates": duplicates,
 }
 
 
+def test_both_stores_match_the_reference_stepwise():
+    for stream, k, eps in short():
+        replay_checked(stream, k, eps)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
-def test_both_stores_match_the_reference_stepwise(family):
+def test_both_stores_match_the_reference_on_family(family):
     for stream, k, eps in FAMILIES[family]():
         replay_checked(stream, k, eps)
